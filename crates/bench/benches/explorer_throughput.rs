@@ -19,22 +19,11 @@ fn bench_explorer_throughput(c: &mut Criterion) {
                 black_box(ex.state_space_size().unwrap())
             })
         });
-        // Ablation of the PR 3 state-collapse machinery: active-clock
-        // reduction and exact zone merging, individually disabled.
+        // Ablation of the active-clock reduction.
         group.bench_function(format!("fischer{n}/no_reduction"), |b| {
             b.iter(|| {
                 let opts = SearchOptions {
                     active_clock_reduction: false,
-                    ..SearchOptions::default()
-                };
-                let ex = Explorer::new(&sys, opts).unwrap();
-                black_box(ex.state_space_size().unwrap())
-            })
-        });
-        group.bench_function(format!("fischer{n}/no_merging"), |b| {
-            b.iter(|| {
-                let opts = SearchOptions {
-                    exact_zone_merging: false,
                     ..SearchOptions::default()
                 };
                 let ex = Explorer::new(&sys, opts).unwrap();

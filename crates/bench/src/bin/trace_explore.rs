@@ -28,7 +28,7 @@ use std::process::exit;
 use std::sync::Arc;
 use tempo_arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
 use tempo_arch::engine::Session;
-use tempo_arch::{AnalysisConfig, StorageKind, WcrtReport};
+use tempo_arch::{AnalysisConfig, WcrtReport};
 use tempo_check::{SearchOptions, SearchOrder};
 use tempo_obs::{validate_jsonl, ChromeTraceSubscriber, JsonlSubscriber, MetricsRegistry};
 
@@ -63,7 +63,6 @@ fn sequential_cfg() -> AnalysisConfig {
         search: SearchOptions {
             order: SearchOrder::Bfs,
             active_clock_reduction: true,
-            storage: StorageKind::Federation,
             ..SearchOptions::default()
         },
         ..AnalysisConfig::default()

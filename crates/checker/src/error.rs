@@ -8,9 +8,21 @@ use tempo_ta::{EvalError, ValidationError};
 pub enum CheckError {
     /// The system failed static validation.
     Validation(ValidationError),
-    /// Expression evaluation failed (variable range violation, division by
-    /// zero) while computing successors.
+    /// Expression evaluation failed (division by zero) while computing
+    /// successors.
     Eval(EvalError),
+    /// An update moved an integer variable outside its declared range while
+    /// computing successors.
+    VarOutOfRange {
+        /// The variable's declared name.
+        name: String,
+        /// The offending value.
+        value: i64,
+        /// Declared minimum.
+        min: i64,
+        /// Declared maximum.
+        max: i64,
+    },
     /// The model uses a feature combination the checker does not support:
     /// clock guards on edges synchronizing over an urgent channel.
     ClockGuardOnUrgentEdge {
@@ -56,6 +68,10 @@ impl fmt::Display for CheckError {
         match self {
             CheckError::Validation(e) => write!(f, "invalid system: {e}"),
             CheckError::Eval(e) => write!(f, "evaluation error during exploration: {e}"),
+            CheckError::VarOutOfRange { name, value, min, max } => write!(
+                f,
+                "variable {name} assigned {value}, outside its range [{min}, {max}]"
+            ),
             CheckError::ClockGuardOnUrgentEdge { automaton, edge } => write!(
                 f,
                 "edge {edge} of `{automaton}` synchronizes on an urgent channel but has a clock guard"

@@ -38,10 +38,12 @@ pub type ProgressFn = dyn Fn(&SearchProgress) + Send + Sync;
 /// [`SearchHook::progress`] callback.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchProgress {
-    /// Symbolic states expanded so far (for the parallel checker: by the
-    /// reporting worker's share of the exploration).
+    /// Symbolic states expanded so far, across all workers of a parallel
+    /// exploration.
     pub states_explored: usize,
-    /// Symbolic states currently held by the passed/waiting store.
+    /// Symbolic states (zones) currently held by the passed/waiting store:
+    /// the live count after evictions and merges, in both explorers (see
+    /// [`ExplorationStats::stored_live`]).
     pub states_stored: usize,
     /// Current waiting-list depth: states queued for expansion (for the
     /// parallel checker: queued **or in flight** across all workers) — the
@@ -145,20 +147,17 @@ pub struct SearchOptions {
     /// `tests/reduction_differential.rs`); disable only to measure its effect
     /// or to debug.
     pub active_clock_reduction: bool,
-    /// Whether to merge stored zones whose union is *exactly* convex: when a
-    /// new zone and a stored zone of the same discrete state satisfy
-    /// `hull(A, B) = A ∪ B`, both are replaced by the hull
+    /// The passed/waiting storage discipline (see [`StorageKind`]).  The
+    /// default federation store discards a zone already covered by the
+    /// *union* of the stored zones and, in untargeted searches (supremum
+    /// queries, [`Explorer::explore`]), replaces a new zone and the stored
+    /// zones it forms an exactly convex union with by their hull
     /// ([`tempo_dbm::Dbm::try_merge`]).  Unlike UPPAAL's `-C` convex-hull
-    /// over-approximation this never adds valuations, so verdicts and
-    /// suprema are preserved exactly.  Only applied to full explorations
-    /// (supremum queries, [`Explorer::explore`]) — never to targeted
-    /// reachability searches, whose diagnostic traces must stay concrete.
-    pub exact_zone_merging: bool,
-    /// The passed/waiting storage discipline (see [`StorageKind`]): the flat
-    /// single-zone-inclusion antichain store (default), or the federation
-    /// store whose union-coverage subsumption discards a zone already covered
-    /// by the *union* of the stored zones — exact, and decisive on the
-    /// case-study columns whose zone graphs fragment into overlapping zones.
+    /// over-approximation this never adds valuations, so verdicts and suprema
+    /// are preserved exactly.  Targeted reachability searches never merge, so
+    /// every diagnostic trace step is a computed successor of the step before
+    /// it.  The plain single-zone-inclusion [`StorageKind::Flat`] store is the
+    /// reference oracle of the differential harnesses.
     pub storage: StorageKind,
     /// Abort the exploration after this many stored states.
     pub max_states: Option<usize>,
@@ -182,8 +181,7 @@ impl Default for SearchOptions {
             seed: 0x7e4d0,
             extrapolate: true,
             active_clock_reduction: true,
-            exact_zone_merging: true,
-            storage: StorageKind::Flat,
+            storage: StorageKind::Federation,
             max_states: None,
             truncate_on_limit: false,
             extra_clock_constants: Vec::new(),
@@ -211,25 +209,10 @@ impl SearchOptions {
 }
 
 /// Statistics about one exploration run.
-#[allow(deprecated)] // the derives touch the deprecated `states_stored` alias
 #[derive(Clone, Debug, Default)]
 pub struct ExplorationStats {
     /// Symbolic states popped from the waiting list and expanded.
     pub states_explored: usize,
-    /// Deprecated alias whose meaning depended on the explorer: the
-    /// sequential explorer stored cumulative insertions here while the
-    /// parallel explorer stored the net live count, so comparing the field
-    /// across explorers silently compared different quantities.  Both
-    /// explorers still populate it with their historical value; new code
-    /// reads [`ExplorationStats::stored_cumulative`] or
-    /// [`ExplorationStats::stored_live`] and says which one it means.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `stored_cumulative` (what `max_states` bounds) or `stored_live` \
-                (the store's net footprint); this alias is sequential-cumulative but \
-                parallel-live"
-    )]
-    pub states_stored: usize,
     /// Cumulative successful insertions into the passed/waiting structure
     /// (after inclusion subsumption; zones later absorbed by merging or
     /// eviction still count).  This is the quantity
@@ -254,9 +237,9 @@ pub struct ExplorationStats {
     /// applied (one per dead clock per computed symbolic state); `0` when the
     /// reduction is disabled or every clock stays live.
     pub clocks_eliminated: usize,
-    /// Number of exact convex-union merges of stored zones (see
-    /// [`SearchOptions::exact_zone_merging`]); `0` when merging is disabled
-    /// or the search is targeted.
+    /// Number of stored zones absorbed by exact convex-union merging (see
+    /// [`SearchOptions::storage`]); `0` under flat storage or in a targeted
+    /// search.
     pub zones_merged: usize,
     /// Number of computed zones discarded because the **union** of the
     /// stored zones covers them while no single stored zone does — only the
@@ -350,7 +333,7 @@ impl<'s> Explorer<'s> {
         // Exact zone merging is restricted to untargeted explorations: a
         // merged node has no single concrete predecessor path, so diagnostic
         // traces (only produced for targeted searches) stay unmerged.
-        let merging = target.is_none() && self.opts.exact_zone_merging;
+        let merging = target.is_none();
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
 
         let mut stats = ExplorationStats::default();
@@ -412,7 +395,7 @@ impl<'s> Explorer<'s> {
                     }
                     progress(&SearchProgress {
                         states_explored: stats.states_explored,
-                        states_stored: stats.stored_cumulative,
+                        states_stored: passed.live_zones(),
                         waiting: waiting.len(),
                         workers_active: 1,
                         elapsed: start.elapsed(),
@@ -503,11 +486,6 @@ impl<'s> Explorer<'s> {
         stats.clocks_eliminated = gen.clocks_eliminated();
         stats.zones_live = passed.live_zones();
         stats.stored_live = stats.zones_live;
-        // The deprecated alias keeps its historical sequential semantics.
-        #[allow(deprecated)]
-        {
-            stats.states_stored = stats.stored_cumulative;
-        }
         stats.duration = start.elapsed();
         let trace = found.map(|mut idx| {
             let mut rev = Vec::new();
@@ -588,6 +566,123 @@ mod tests {
             p.build();
         }
         sb.build()
+    }
+
+    /// Fischer's protocol over `n` processes with the *weak* wait guard
+    /// `x >= K`, which lets two processes into the critical section.
+    fn weak_fischer(n: usize) -> System {
+        const K: i64 = 2;
+        let mut sb = SystemBuilder::new("fischer");
+        let id = sb.add_var("id", 0, n as i64, 0);
+        for i in 1..=n {
+            let x = sb.add_clock(format!("x{i}"));
+            let pid = i as i64;
+            let mut p = sb.automaton(format!("P{i}"));
+            let idle = p.location("idle").add();
+            let req = p.location("req").invariant(x.le(K)).add();
+            let wait = p.location("wait").add();
+            let cs = p.location("cs").add();
+            p.edge(idle, req).guard(id.eq_(0)).reset(x).add();
+            p.edge(req, wait)
+                .guard_clock(x.le(K))
+                .update(Update::assign(id, pid))
+                .reset(x)
+                .add();
+            p.edge(wait, cs).guard(id.eq_(pid)).guard_clock(x.ge(K)).add();
+            p.edge(wait, idle).guard(id.ne_(pid)).reset(x).add();
+            p.edge(cs, idle).update(Update::assign(id, 0)).add();
+            p.set_initial(idle);
+            p.build();
+        }
+        sb.build()
+    }
+
+    /// Replays a diagnostic trace through the successor relation: the first
+    /// step must be the initial state, and every later step's action,
+    /// discrete state and zone must be those of a computed successor of the
+    /// step before it.
+    fn assert_trace_replays(sys: &System, opts: &SearchOptions, target: &TargetSpec, trace: &[TraceStep]) {
+        let seed = QuerySeed {
+            target: target.clone(),
+            consts: target.clock_constants(sys),
+        };
+        let gen = SuccessorGen::for_queries(sys, opts, std::slice::from_ref(&seed)).unwrap();
+        let mut current = gen.initial_state().unwrap();
+        assert!(trace[0].action.is_none());
+        assert_eq!(trace[0].state, current.discrete.pretty(sys));
+        assert_eq!(trace[0].zone, current.zone.to_string());
+        for (i, step) in trace.iter().enumerate().skip(1) {
+            current = gen
+                .successors(&current)
+                .unwrap()
+                .into_iter()
+                .find(|(succ, action)| {
+                    step.action.as_deref() == Some(action.pretty(sys).as_str())
+                        && step.state == succ.discrete.pretty(sys)
+                        && step.zone == succ.zone.to_string()
+                })
+                .map(|(succ, _)| succ)
+                .unwrap_or_else(|| {
+                    panic!("{}: trace step {i} {step:?} is no successor of step {}", sys.name, i - 1)
+                });
+        }
+        assert!(target.matches(&current).unwrap(), "{}: the trace misses the target", sys.name);
+    }
+
+    /// Targeted searches under the default federation store return traces
+    /// that are genuine symbolic paths, also when the store evicts zones or
+    /// subsumes them by union coverage along the way.
+    #[test]
+    fn federation_traces_replay_through_the_successor_relation() {
+        let opts = SearchOptions::default();
+        assert_eq!(opts.storage, StorageKind::Federation);
+        let mut pruned = 0;
+        for (sys, a, b) in [(unprotected_mutex(), "p1", "p2"), (weak_fischer(3), "P1", "P2")] {
+            let target = TargetSpec::location(&sys, a, "cs")
+                .unwrap()
+                .and_location(&sys, b, "cs")
+                .unwrap();
+            let report = Explorer::new(&sys, opts.clone())
+                .unwrap()
+                .check_reachable(&target)
+                .unwrap();
+            assert!(report.reachable, "{}", sys.name);
+            assert_trace_replays(&sys, &opts, &target, &report.trace.unwrap());
+            assert_eq!(report.stats.zones_merged, 0, "targeted searches never merge");
+            pruned += report.stats.zones_evicted + report.stats.zones_subsumed_by_union;
+        }
+        assert!(pruned > 0, "no search evicted or union-subsumed a zone");
+    }
+
+    /// `SearchProgress::states_stored` is the store's live zone count in the
+    /// sequential explorer too (the parallel one always reported it): the
+    /// last report of a full exploration equals the final `stored_live`,
+    /// which evictions and merges keep below `stored_cumulative`.
+    #[test]
+    fn sequential_progress_reports_the_live_store_size() {
+        use std::sync::Mutex;
+        let sys = weak_fischer(3);
+        let last: Arc<Mutex<Option<SearchProgress>>> = Arc::new(Mutex::new(None));
+        let sink = Arc::clone(&last);
+        let opts = SearchOptions {
+            hook: SearchHook {
+                progress: Some(Arc::new(move |p: &SearchProgress| {
+                    *sink.lock().unwrap() = Some(*p);
+                })),
+                progress_every: 1,
+                ..SearchHook::default()
+            },
+            ..SearchOptions::default()
+        };
+        let stats = Explorer::new(&sys, opts).unwrap().explore(|_| {}).unwrap();
+        assert!(
+            stats.stored_live < stats.stored_cumulative,
+            "the fixture must evict or merge ({} live of {})",
+            stats.stored_live,
+            stats.stored_cumulative
+        );
+        let last = last.lock().unwrap().expect("progress fired");
+        assert_eq!(last.states_stored, stats.stored_live);
     }
 
     #[test]
@@ -738,11 +833,6 @@ mod tests {
         let stats = ex.explore(|_| {}).unwrap();
         assert!(stats.truncated);
         assert!(stats.stored_cumulative <= 4);
-        // The deprecated alias mirrors the cumulative count sequentially.
-        #[allow(deprecated)]
-        {
-            assert_eq!(stats.states_stored, stats.stored_cumulative);
-        }
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //!   urgent channels (no delay while an urgent synchronization is enabled),
 //!   urgent and committed locations,
 //! * a passed/waiting list with zone-inclusion subsumption and
-//!   location-dependent ExtraLU extrapolation guarantees termination; the
-//!   storage discipline is pluggable ([`SearchOptions::storage`]): flat
-//!   per-discrete-state antichains (default) or per-discrete-state
-//!   *federations* whose union-coverage subsumption discards zones covered
-//!   by the union of the stored zones ([`StorageKind::Federation`]) — exact,
-//!   and the difference between truncation and completion on the burstiest
-//!   case-study columns,
+//!   location-dependent ExtraLU extrapolation guarantees termination; by
+//!   default each discrete state keeps a *federation* whose union-coverage
+//!   subsumption discards zones covered by the union of the stored zones and
+//!   whose exact convex merging folds neighbouring zones into their hull
+//!   ([`StorageKind::Federation`]) — exact, and the difference between
+//!   truncation and completion on the burstiest case-study columns.  The
+//!   plain single-zone-inclusion antichain ([`StorageKind::Flat`]) stays as
+//!   the reference oracle the differential tests compare against,
 //! * active-clock reduction (on by default, see
 //!   [`SearchOptions::active_clock_reduction`]): clocks a static inactivity
 //!   analysis proves dead in a discrete state are reset to a canonical value
@@ -68,7 +69,6 @@ mod store;
 mod target;
 mod successor;
 mod explorer;
-mod merge;
 mod parallel;
 mod wcrt;
 

@@ -173,7 +173,7 @@ impl<'s> Explorer<'s> {
         // Like the sequential explorer: exact merging only for untargeted
         // explorations (targeted parallel searches return no trace either,
         // but keeping the gate identical makes the stats comparable).
-        let merging = target.is_none() && opts.exact_zone_merging;
+        let merging = target.is_none();
 
         let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
@@ -558,12 +558,6 @@ impl<'s> Explorer<'s> {
         stats.stored_cumulative += 1;
         stats.zones_live = passed.live_zones();
         stats.stored_live = stats.zones_live;
-        // The deprecated alias keeps its historical parallel semantics (net
-        // live count) so existing consumers see unchanged values.
-        #[allow(deprecated)]
-        {
-            stats.states_stored = stats.stored_live;
-        }
         stats.truncated = truncated.load(Ordering::SeqCst);
         stats.zones_merged = passed.zones_merged();
         stats.zones_evicted = passed.zones_evicted();

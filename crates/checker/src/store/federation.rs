@@ -7,16 +7,20 @@
 //! discrete state's federation outgrows an adaptive threshold it is
 //! [`Federation::reduce`]d: members covered by the union of their peers are
 //! dropped, which keeps the coverage test sharp (bigger effective zones)
-//! and the per-insert subtraction cost bounded.  All of it is exact — no
-//! valuation is ever lost — so verdicts, suprema and WCRTs are preserved.
+//! and the per-insert subtraction cost bounded.  Untargeted searches also
+//! merge: a newcomer and the stored zones whose union with it is exactly
+//! convex are replaced by their hull ([`Federation::absorb_convex`]).  All
+//! of it is exact — no valuation is ever lost or added — so verdicts,
+//! suprema and WCRTs are preserved.  This is the default store.
 
 use super::{Insert, StateStore};
 use crate::state::DiscreteState;
 use std::collections::HashMap;
 use tempo_dbm::{Dbm, Federation, ZoneCoverage};
 
-/// Budget of *failed* exact-merge attempts per insertion, matching the flat
-/// store's [`crate::merge`] discipline.
+/// Budget of *failed* exact-merge attempts per insertion.  Breadth-first
+/// exploration produces mergeable neighbours close together in time, and an
+/// unbounded scan would make every insertion linear in the federation size.
 const MERGE_ATTEMPT_BUDGET: usize = 64;
 
 /// A federation never reduced before it holds this many zones.

@@ -1,6 +1,8 @@
 //! The flat hash store: per-discrete-state zone antichains with single-zone
-//! inclusion subsumption — the classic UPPAAL passed-list discipline and the
-//! default [`StorageKind`](super::StorageKind).
+//! inclusion subsumption — the classic UPPAAL passed-list discipline.  It
+//! never merges and never skips a queued state, which makes it the plain
+//! reference oracle the differential harnesses hold the default
+//! [`StorageKind::Federation`](super::StorageKind::Federation) store against.
 
 use super::{Insert, StateStore};
 use crate::state::DiscreteState;
@@ -30,7 +32,7 @@ impl FlatStore {
 }
 
 impl StateStore for FlatStore {
-    fn insert(&mut self, discrete: &DiscreteState, zone: &mut Dbm, merge: bool) -> Insert {
+    fn insert(&mut self, discrete: &DiscreteState, zone: &mut Dbm, _merge: bool) -> Insert {
         let id = match self.ids.get(discrete) {
             Some(&id) => id,
             None => {
@@ -49,25 +51,17 @@ impl StateStore for FlatStore {
         let before = zones.len();
         zones.retain(|z| !zone.includes(z));
         let evicted = before - zones.len();
-        let merged = if merge {
-            crate::merge::merge_into_antichain(zone, zones)
-        } else {
-            0
-        };
         zones.push(zone.clone());
-        self.live = self.live + 1 - evicted - merged;
+        self.live = self.live + 1 - evicted;
         if evicted > 0 {
             tempo_obs::counter("store.evicted", evicted as u64);
         }
-        if merged > 0 {
-            tempo_obs::counter("store.merged", merged as u64);
-        }
-        Insert::Inserted { evicted, merged }
+        Insert::Inserted { evicted, merged: 0 }
     }
 
     fn is_current(&self, _discrete: &DiscreteState, _zone: &Dbm) -> bool {
-        // The flat store reproduces the pre-subsystem explorer byte for byte:
-        // every queued state is expanded, even if its zone was later evicted.
+        // The oracle expands every queued state, even if its zone was later
+        // evicted.
         true
     }
 

@@ -6,17 +6,19 @@
 //! and what "covered" means is the storage discipline, and it decides whether
 //! the big case-study columns are tractable:
 //!
+//! * [`FederationStore`] — the default.  It stores a
+//!   [`tempo_dbm::Federation`] per discrete state and rejects a newcomer when
+//!   the **union** of the stored zones covers it
+//!   ([`tempo_dbm::Federation::coverage_of`]), which convex single-zone
+//!   storage can never detect; stored zones strictly included in a newcomer
+//!   are evicted, untargeted searches fold a newcomer and the stored zones it
+//!   forms an exact convex union with into their hull
+//!   ([`tempo_dbm::Federation::absorb_convex`]), and periodically the
+//!   federation is [`tempo_dbm::Federation::reduce`]d so members covered by
+//!   their peers' union are dropped too.
 //! * [`FlatStore`] — the classic antichain of zones with *single-zone*
-//!   inclusion subsumption (a newcomer is rejected only when one stored zone
-//!   includes it).  This is the default and reproduces the pre-subsystem
-//!   explorer behavior byte for byte.
-//! * [`FederationStore`] — stores a [`tempo_dbm::Federation`] per discrete
-//!   state and rejects a newcomer when the **union** of the stored zones
-//!   covers it ([`tempo_dbm::Federation::coverage_of`]), which convex
-//!   single-zone storage can never detect; stored zones strictly included in
-//!   a newcomer are evicted, and periodically the federation is
-//!   [`tempo_dbm::Federation::reduce`]d so members covered by their peers'
-//!   union are dropped too.
+//!   inclusion subsumption and nothing else.  It is the reference oracle the
+//!   differential harnesses compare the federation store against.
 //! * [`ShardedStore`] — a lock-striped concurrent wrapper around either of
 //!   the above, giving the parallel checker per-shard critical sections
 //!   instead of one global passed-list mutex.
@@ -42,12 +44,14 @@ use tempo_dbm::Dbm;
 /// [`SearchOptions::storage`](crate::SearchOptions::storage).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StorageKind {
-    /// Flat per-discrete-state zone antichains with single-zone inclusion
-    /// subsumption (the default; byte-for-byte the pre-subsystem behavior).
-    #[default]
+    /// Plain per-discrete-state zone antichains with single-zone inclusion
+    /// subsumption and no merging: the reference oracle of the differential
+    /// harnesses, not a production configuration.
     Flat,
-    /// Per-discrete-state federations with union-coverage subsumption and
-    /// eviction of union-covered members.
+    /// Per-discrete-state federations with union-coverage subsumption,
+    /// eviction of union-covered members and exact convex merging in
+    /// untargeted searches (the default).
+    #[default]
     Federation,
 }
 
@@ -63,7 +67,7 @@ pub(crate) enum Insert {
     },
     /// The zone was stored and must be expanded.  The caller's zone may have
     /// been grown in place to an exact convex hull when merging absorbed
-    /// stored zones.
+    /// stored zones (federation storage only).
     Inserted {
         /// Stored zones dropped because the newcomer (or, after a periodic
         /// federation reduction, the union of their peers) covers them.
@@ -77,8 +81,9 @@ pub(crate) enum Insert {
 ///
 /// `insert` is the single hot-path operation: decide whether `zone` (for
 /// `discrete`) is already covered, and if not, store it — evicting covered
-/// peers and, when `merge` is set, absorbing stored zones whose union with
-/// the newcomer is exactly convex (the newcomer is grown in place).
+/// peers and, when `merge` is set and the store supports it, absorbing
+/// stored zones whose union with the newcomer is exactly convex (the
+/// newcomer is grown in place).
 pub(crate) trait StateStore: Send {
     /// Attempts to insert the zone; see the trait documentation.
     fn insert(&mut self, discrete: &DiscreteState, zone: &mut Dbm, merge: bool) -> Insert;
@@ -90,8 +95,8 @@ pub(crate) trait StateStore: Send {
     /// structure: a state whose zone was replaced by a covering zone need not
     /// be expanded, because the covering zone's own (pending or past)
     /// expansion yields a superset of its successors.  The flat store always
-    /// answers `true` (preserving the classic exploration byte for byte);
-    /// the federation store answers from membership, which is what collapses
+    /// answers `true` (the classic exploration, kept as the oracle); the
+    /// federation store answers from membership, which is what collapses
     /// the burst columns — the union keeps absorbing queued-but-unexpanded
     /// fragments before they are ever expanded.
     fn is_current(&self, discrete: &DiscreteState, zone: &Dbm) -> bool;

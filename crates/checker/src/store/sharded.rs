@@ -72,7 +72,7 @@ impl ShardedStore {
 
     /// Concurrent [`StateStore::is_current`]: membership check under the
     /// owning shard's lock.  Flat shards answer `true` unconditionally, so
-    /// the default discipline skips the lock (and its contention) entirely.
+    /// the oracle discipline skips the lock (and its contention) entirely.
     pub(crate) fn is_current(&self, discrete: &DiscreteState, zone: &Dbm) -> bool {
         match self.kind {
             StorageKind::Flat => true,

@@ -535,7 +535,17 @@ impl<'s> SuccessorGen<'s> {
         let mut new_vars: VarStore = vars.clone();
         for &(ai, ei) in participants {
             let edge = &self.sys.automata[ai].edges[ei];
-            new_vars.apply(&edge.updates, &self.ranges)?;
+            new_vars
+                .apply(&edge.updates, &self.ranges)
+                .map_err(|e| match e {
+                    EvalError::OutOfRange { var, value, min, max } => CheckError::VarOutOfRange {
+                        name: self.sys.vars[var.index()].name.clone(),
+                        value,
+                        min,
+                        max,
+                    },
+                    e => CheckError::Eval(e),
+                })?;
         }
         // 3. location changes.
         let mut new_locs = state.discrete.locations().to_vec();

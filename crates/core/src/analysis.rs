@@ -91,13 +91,11 @@ impl From<ModelError> for ArchError {
 
 impl From<CheckError> for ArchError {
     fn from(e: CheckError) -> Self {
-        match &e {
-            CheckError::Eval(tempo_ta::EvalError::OutOfRange { var, value, max, .. }) => {
-                ArchError::QueueOverflow {
-                    detail: format!("variable {var} reached {value}, max {max}"),
-                }
-            }
-            _ => ArchError::Check(e),
+        match e {
+            CheckError::VarOutOfRange { name, value, max, .. } => ArchError::QueueOverflow {
+                detail: format!("variable {name} reached {value}, max {max}"),
+            },
+            e => ArchError::Check(e),
         }
     }
 }
@@ -205,9 +203,7 @@ pub fn analyze_generated(
         &observer.automaton,
         &observer.seen_location,
     )?;
-    let deadline_ticks = generated.quantizer.to_ticks(req.deadline).max(1);
-    let initial_cap = deadline_ticks.saturating_mul(cfg.initial_cap_factor.max(1));
-    let max_cap = deadline_ticks.saturating_mul(cfg.max_cap_factor.max(cfg.initial_cap_factor));
+    let (initial_cap, max_cap) = observer_caps(&generated.quantizer, req, cfg);
     let report = match &cfg.parallel {
         Some(par) => {
             explorer.par_sup_clock_at_auto(&target, observer.clock, initial_cap, max_cap, par)?
@@ -217,9 +213,23 @@ pub fn analyze_generated(
     Ok(report_from_sup(&generated.quantizer, req, report))
 }
 
+/// The initial and the hard extrapolation cap (in ticks) of `req`'s observer
+/// clock: the deadline scaled by the configured cap factors.
+pub(crate) fn observer_caps(
+    quantizer: &crate::time::Quantizer,
+    req: &Requirement,
+    cfg: &AnalysisConfig,
+) -> (i64, i64) {
+    let deadline_ticks = quantizer.to_ticks(req.deadline).max(1);
+    (
+        deadline_ticks.saturating_mul(cfg.initial_cap_factor.max(1)),
+        deadline_ticks.saturating_mul(cfg.max_cap_factor.max(cfg.initial_cap_factor)),
+    )
+}
+
 /// Interprets a raw clock-supremum report as a [`WcrtReport`] for `req` —
 /// the single conversion shared by the one-requirement analysis above and
-/// the batched multi-requirement path of the engine layer's `Session`.
+/// the batched multi-requirement path behind `Session::wcrt_all`.
 pub(crate) fn report_from_sup(
     quantizer: &crate::time::Quantizer,
     req: &Requirement,
@@ -373,7 +383,19 @@ mod tests {
         let m = single_task_model(10, 20_000);
         let err = wcrt(&m, "rt").unwrap_err();
         assert!(matches!(err, ArchError::QueueOverflow { .. }), "{err}");
-        assert!(queues_bounded(&m).is_err());
+        // The detail names the overflowing variable as declared, not by id.
+        let ArchError::QueueOverflow { detail } = &err else { unreachable!() };
+        let name = detail
+            .strip_prefix("variable ")
+            .and_then(|rest| rest.split(' ').next())
+            .unwrap_or_default();
+        let generated = generate(&m, m.requirement_by_name("rt"), &GeneratorOptions::default()).unwrap();
+        assert!(generated.system.var_by_name(name).is_some(), "{detail}");
+        let id_like = |w: &str| w.len() > 1 && w.starts_with('v') && w[1..].bytes().all(|b| b.is_ascii_digit());
+        assert!(!detail.split(|c: char| !c.is_alphanumeric()).any(id_like), "{detail}");
+        let queue_err = queues_bounded(&m).unwrap_err().to_string();
+        assert!(queue_err.contains(name), "{queue_err}");
+        assert!(!queue_err.split(|c: char| !c.is_alphanumeric()).any(id_like), "{queue_err}");
         // The healthy variant passes the queue check.
         let ok = single_task_model(10, 2_000);
         assert!(queues_bounded(&ok).is_ok());
@@ -457,9 +479,8 @@ mod tests {
         let m = two_task_model(SchedulingPolicy::FixedPriorityNonPreemptive);
         // Per-requirement mode: one dedicated network and one report with its
         // own statistics per requirement (the dropped `analyze_all` contract).
-        let mut session = Session::new(&m, AnalysisConfig::default()).unwrap();
-        session.set_batch_wcrt_all(false);
-        let reports = session.wcrt_all().unwrap();
+        let db = crate::incremental::AnalysisDb::new(AnalysisConfig::default());
+        let reports = db.wcrt_all(&m).unwrap();
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.wcrt.is_some()));
         assert!(reports.iter().all(|r| r.meets_deadline == Some(true)));

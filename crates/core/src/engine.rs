@@ -17,11 +17,12 @@
 //! * [`RunContext`] — wall-clock/state budgets, cooperative cancellation and
 //!   progress reporting, threaded down into the model checker's explorers
 //!   through [`tempo_check::SearchHook`],
-//! * [`Session`] — a stateful handle binding one model: it validates once,
-//!   generates/compiles the timed-automata network **once** per query shape
-//!   and reuses it across queries (a multi-requirement [`Query::WcrtAll`]
-//!   generates a single multi-observer network and answers every requirement
-//!   in one exploration),
+//! * [`Session`] — a stateful handle binding one model, a thin view over an
+//!   owned [`AnalysisDb`]: it validates once, generates/compiles the
+//!   timed-automata network **once** per query shape and reuses it across
+//!   queries (a multi-requirement [`Query::WcrtAll`] generates a single
+//!   multi-observer network and answers every requirement in one
+//!   exploration),
 //! * [`Portfolio`] — fans a query across several engines, checks the paper's
 //!   bracket invariant (every lower bound ≤ every exact value ≤ every upper
 //!   bound, within a tolerance), and reconciles the answers into one
@@ -32,18 +33,15 @@
 //! lived on for a while as deprecated shims over this surface and have since
 //! been dropped; the engine API is the only entry point.
 
-use crate::analysis::{analyze_generated, report_from_sup, AnalysisConfig, ArchError, WcrtReport};
-use crate::generator::{generate, generate_measuring, GeneratedModel};
-use crate::model::{ArchitectureModel, Requirement};
+use crate::analysis::{AnalysisConfig, ArchError, WcrtReport};
+use crate::incremental::{AnalysisDb, Front};
+use crate::model::ArchitectureModel;
 use crate::time::TimeValue;
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tempo_check::{CheckError, Explorer, FaultPlan, FaultSite, SearchHook, SupQuery, TargetSpec};
+use tempo_check::{CheckError, FaultPlan, FaultSite, SearchHook};
 
 // Fault-injection vocabulary, re-exported so engine users can build a
 // [`RunContext`] with a fault plan without depending on `tempo_check`
@@ -726,36 +724,21 @@ pub trait Engine {
 /// The exact timed-automata engine (the paper's primary technique), wrapping
 /// the model checker behind the [`Engine`] trait.  Stateless per run; use a
 /// [`Session`] directly to reuse generated networks across several queries on
-/// the same model.
-#[derive(Clone, Debug)]
+/// the same model.  [`Query::WcrtAll`] explores one multi-observer network
+/// for every requirement; [`AnalysisDb`] answers it with one dedicated
+/// network per requirement instead.
+#[derive(Clone, Debug, Default)]
 pub struct TaEngine {
     /// The analysis configuration (generator options, search options
     /// including the storage discipline, optional parallel checking, cap
     /// policy).
     pub cfg: AnalysisConfig,
-    /// Whether [`Query::WcrtAll`] uses the batched multi-observer network
-    /// (one generation, one exploration for every requirement; default) or
-    /// falls back to one dedicated network per requirement — the latter keeps
-    /// individual state spaces smaller on heavyweight models.
-    pub batch_wcrt_all: bool,
-}
-
-impl Default for TaEngine {
-    fn default() -> Self {
-        TaEngine {
-            cfg: AnalysisConfig::default(),
-            batch_wcrt_all: true,
-        }
-    }
 }
 
 impl TaEngine {
     /// An engine with the given analysis configuration.
     pub fn with_config(cfg: AnalysisConfig) -> TaEngine {
-        TaEngine {
-            cfg,
-            ..TaEngine::default()
-        }
+        TaEngine { cfg }
     }
 }
 
@@ -779,29 +762,25 @@ impl Engine for TaEngine {
         query: &Query,
         ctx: &RunContext,
     ) -> Result<EngineReport, EngineError> {
-        let mut session = Session::new(model, self.cfg.clone())?;
-        session.set_batch_wcrt_all(self.batch_wcrt_all);
-        session.run(query, ctx)
+        Session::new(model, self.cfg.clone())?.run(query, ctx)
     }
 }
 
-/// A stateful analysis handle binding one architecture model.
+/// A stateful analysis handle binding one architecture model: a thin view
+/// over an owned [`AnalysisDb`].
 ///
-/// The session validates the model **once** at construction and caches every
-/// generated timed-automata network, so repeated queries (and multi-query
-/// workflows like a portfolio run followed by per-requirement drill-downs)
-/// never regenerate: a [`Query::WcrtAll`] generates a *single* network with
-/// one measuring observer per requirement and extracts every supremum in one
-/// exploration ([`Session::generations`] counts generator invocations, which
-/// the tests assert).
+/// The session validates the model **once** at construction; the database
+/// caches every generated timed-automata network and every complete answer,
+/// so repeated queries (and multi-query workflows like a portfolio run
+/// followed by per-requirement drill-downs) never regenerate.  A
+/// [`Query::WcrtAll`] generates a *single* network with one measuring
+/// observer per requirement and extracts every supremum in one exploration
+/// ([`Session::generations`] counts generator invocations, which the tests
+/// assert).  For one dedicated network per requirement, ask the
+/// [`AnalysisDb`] itself.
 pub struct Session<'m> {
     model: &'m ArchitectureModel,
-    cfg: AnalysisConfig,
-    batch_wcrt_all: bool,
-    generations: Cell<usize>,
-    per_requirement: RefCell<HashMap<String, Rc<GeneratedModel>>>,
-    all_requirements: RefCell<Option<Rc<GeneratedModel>>>,
-    base: RefCell<Option<Rc<GeneratedModel>>>,
+    db: AnalysisDb,
 }
 
 impl<'m> Session<'m> {
@@ -810,12 +789,7 @@ impl<'m> Session<'m> {
         model.validate()?;
         Ok(Session {
             model,
-            cfg,
-            batch_wcrt_all: true,
-            generations: Cell::new(0),
-            per_requirement: RefCell::new(HashMap::new()),
-            all_requirements: RefCell::new(None),
-            base: RefCell::new(None),
+            db: AnalysisDb::new(cfg),
         })
     }
 
@@ -826,242 +800,44 @@ impl<'m> Session<'m> {
 
     /// The analysis configuration in effect.
     pub fn config(&self) -> &AnalysisConfig {
-        &self.cfg
-    }
-
-    /// Selects the [`Query::WcrtAll`] strategy (see
-    /// [`TaEngine::batch_wcrt_all`]).
-    pub fn set_batch_wcrt_all(&mut self, batch: bool) {
-        self.batch_wcrt_all = batch;
+        self.db.config()
     }
 
     /// How many times the session has invoked the generator so far — the
     /// observable for "the network is generated once and reused".
     pub fn generations(&self) -> usize {
-        self.generations.get()
+        self.db.stats().generations as usize
     }
 
-    fn record_generation<T>(&self, generated: T) -> Rc<T> {
-        self.generations.set(self.generations.get() + 1);
-        Rc::new(generated)
-    }
-
-    fn generated_for(&self, req: &Requirement) -> Result<Rc<GeneratedModel>, ArchError> {
-        if let Some(g) = self.per_requirement.borrow().get(&req.name) {
-            return Ok(Rc::clone(g));
-        }
-        let g = self.record_generation(generate(self.model, Some(req), &self.cfg.generator)?);
-        self.per_requirement
-            .borrow_mut()
-            .insert(req.name.clone(), Rc::clone(&g));
-        Ok(g)
-    }
-
-    fn generated_all(&self) -> Result<Rc<GeneratedModel>, ArchError> {
-        if let Some(g) = self.all_requirements.borrow().as_ref() {
-            return Ok(Rc::clone(g));
-        }
-        let g = self.record_generation(generate_measuring(
-            self.model,
-            &self.model.requirements,
-            &self.cfg.generator,
-        )?);
-        *self.all_requirements.borrow_mut() = Some(Rc::clone(&g));
-        Ok(g)
-    }
-
-    fn generated_base(&self) -> Result<Rc<GeneratedModel>, ArchError> {
-        if let Some(g) = self.base.borrow().as_ref() {
-            return Ok(Rc::clone(g));
-        }
-        let g = self.record_generation(generate(self.model, None, &self.cfg.generator)?);
-        *self.base.borrow_mut() = Some(Rc::clone(&g));
-        Ok(g)
-    }
-
-    fn requirement(&self, name: &str) -> Result<Requirement, ArchError> {
-        self.model
-            .requirement_by_name(name)
-            .cloned()
-            .ok_or_else(|| ArchError::UnknownRequirement {
-                name: name.to_string(),
-            })
-    }
-
-    /// The WCRT of one requirement (cached generation, fresh exploration).
+    /// The WCRT of one requirement.
     pub fn wcrt(&self, requirement: &str) -> Result<WcrtReport, ArchError> {
-        self.wcrt_with(requirement, &self.cfg)
+        self.db.wcrt_with(self.model, requirement, self.config())
     }
 
-    fn wcrt_with(&self, requirement: &str, cfg: &AnalysisConfig) -> Result<WcrtReport, ArchError> {
-        let req = self.requirement(requirement)?;
-        let generated = self.generated_for(&req)?;
-        analyze_generated(&generated, &req, cfg)
-    }
-
-    /// The WCRTs of every requirement.  With batching enabled (default) this
-    /// generates one multi-observer network and runs **one** exploration for
-    /// all requirements; otherwise it analyses each requirement on its own
-    /// dedicated network.
+    /// The WCRTs of every requirement, from one multi-observer network and
+    /// **one** exploration.
     pub fn wcrt_all(&self) -> Result<Vec<WcrtReport>, ArchError> {
-        self.wcrt_all_with(&self.cfg)
-    }
-
-    fn wcrt_all_with(&self, cfg: &AnalysisConfig) -> Result<Vec<WcrtReport>, ArchError> {
-        if !self.batch_wcrt_all {
-            return self
-                .model
-                .requirements
-                .iter()
-                .map(|r| self.wcrt_with(&r.name, cfg))
-                .collect();
-        }
-        if self.model.requirements.is_empty() {
-            return Ok(Vec::new());
-        }
-        let generated = self.generated_all()?;
-        let explorer = Explorer::new(&generated.system, cfg.search.clone())?;
-        let mut queries = Vec::with_capacity(self.model.requirements.len());
-        for (observer, req) in generated.observers.iter().zip(&self.model.requirements) {
-            debug_assert_eq!(observer.requirement, req.name);
-            let target = TargetSpec::location(
-                &generated.system,
-                &observer.automaton,
-                &observer.seen_location,
-            )?;
-            let deadline_ticks = generated.quantizer.to_ticks(req.deadline).max(1);
-            queries.push(SupQuery {
-                target,
-                clock: observer.clock,
-                initial_cap: deadline_ticks.saturating_mul(cfg.initial_cap_factor.max(1)),
-                max_cap: deadline_ticks
-                    .saturating_mul(cfg.max_cap_factor.max(cfg.initial_cap_factor)),
-            });
-        }
-        let sups = match &cfg.parallel {
-            Some(par) => explorer.par_sup_clocks_at_auto(&queries, par)?,
-            None => explorer.sup_clocks_at_auto(&queries)?,
-        };
-        Ok(self
-            .model
-            .requirements
-            .iter()
-            .zip(sups)
-            .map(|(req, sup)| report_from_sup(&generated.quantizer, req, sup))
-            .collect())
+        self.db.wcrt_all_batched(self.model, self.config())
     }
 
     /// Whether every event queue stays within capacity: `Some(true)` proven
     /// bounded, `Some(false)` an overflow is reachable, `None` undecided
     /// (the exploration was truncated by a budget).
     pub fn queues_bounded(&self) -> Result<Option<bool>, ArchError> {
-        self.queues_bounded_with(&self.cfg)
+        self.db.queues_bounded_with(self.model, self.config())
     }
 
     /// Raw form of [`Session::queues_bounded`]: explores the functional
     /// (observer-free) network and surfaces a reachable overflow as the
-    /// [`ArchError::QueueOverflow`] error, like the historical (since
-    /// dropped) `check_queues_bounded` free function did.
+    /// [`ArchError::QueueOverflow`] error.
     pub fn queue_check(&self) -> Result<tempo_check::ExplorationStats, ArchError> {
-        self.queue_check_with(&self.cfg)
-    }
-
-    fn queue_check_with(
-        &self,
-        cfg: &AnalysisConfig,
-    ) -> Result<tempo_check::ExplorationStats, ArchError> {
-        let generated = self.generated_base()?;
-        let explorer = Explorer::new(&generated.system, cfg.search.clone())?;
-        let outcome = match &cfg.parallel {
-            Some(par) => explorer.par_explore(&|_| {}, par),
-            None => explorer.explore(|_| {}),
-        };
-        outcome.map_err(ArchError::from)
-    }
-
-    fn queues_bounded_with(&self, cfg: &AnalysisConfig) -> Result<Option<bool>, ArchError> {
-        match self.queue_check_with(cfg) {
-            Ok(stats) if stats.truncated => Ok(None),
-            Ok(_) => Ok(Some(true)),
-            Err(ArchError::QueueOverflow { .. }) => Ok(Some(false)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The configuration with the run context's budget and hooks applied.
-    fn effective_config(&self, ctx: &RunContext) -> AnalysisConfig {
-        apply_run_context(&self.cfg, ctx)
+        self.db.queue_check_with(self.model, self.config())
     }
 
     /// Answers a typed [`Query`] — the session-level form of
     /// [`Engine::run`].
     pub fn run(&self, query: &Query, ctx: &RunContext) -> Result<EngineReport, EngineError> {
-        let started = Instant::now();
-        let mut cfg = self.effective_config(ctx);
-        if poll_entry_fault(ctx)? {
-            // Injected budget exhaustion: degrade exactly as if the
-            // wall-clock budget had expired on entry — the exploration
-            // truncates immediately and the answers are sound lower bounds.
-            cfg.search.hook.wall_clock_budget = Some(Duration::ZERO);
-        }
-        let (estimates, verdict, states_stored, truncated) = match query {
-            Query::Wcrt { requirement } => {
-                let report = self.wcrt_with(requirement, &cfg)?;
-                let states = report.stats.stored_cumulative;
-                let truncated = report.stats.truncated;
-                (
-                    vec![RequirementEstimate::from_wcrt(&report)],
-                    None,
-                    Some(states),
-                    truncated,
-                )
-            }
-            Query::Supremum { requirement } => {
-                let report = self.wcrt_with(requirement, &cfg)?;
-                let states = report.stats.stored_cumulative;
-                let truncated = report.stats.truncated;
-                let mut estimate = RequirementEstimate::from_wcrt(&report);
-                estimate.meets_deadline = None;
-                (vec![estimate], None, Some(states), truncated)
-            }
-            Query::DeadlineCheck { requirement } => {
-                let report = self.wcrt_with(requirement, &cfg)?;
-                let states = report.stats.stored_cumulative;
-                let truncated = report.stats.truncated;
-                let verdict = report.meets_deadline;
-                (
-                    vec![RequirementEstimate::from_wcrt(&report)],
-                    verdict,
-                    Some(states),
-                    truncated,
-                )
-            }
-            Query::WcrtAll => {
-                let reports = self.wcrt_all_with(&cfg)?;
-                let states = reports.iter().map(|r| r.stats.stored_cumulative).max();
-                let truncated = reports.iter().any(|r| r.stats.truncated);
-                (
-                    reports.iter().map(RequirementEstimate::from_wcrt).collect(),
-                    None,
-                    states,
-                    truncated,
-                )
-            }
-            Query::QueueBounds => {
-                let verdict = self.queues_bounded_with(&cfg)?;
-                // An undecided verdict means the exploration truncated.
-                (Vec::new(), verdict, None, verdict.is_none())
-            }
-        };
-        Ok(EngineReport {
-            engine: "timed-automata".into(),
-            query: query.clone(),
-            estimates,
-            verdict,
-            wall_time: started.elapsed(),
-            states_stored,
-            truncated,
-        })
+        self.db.answer(self.model, query, ctx, Front::Session)
     }
 }
 
@@ -1626,7 +1402,7 @@ impl Engine for Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{EventModel, MeasurePoint, Scenario, SchedulingPolicy, Step};
+    use crate::model::{EventModel, MeasurePoint, Requirement, Scenario, SchedulingPolicy, Step};
 
     fn two_task_model() -> ArchitectureModel {
         let mut m = ArchitectureModel::new("engine-test");

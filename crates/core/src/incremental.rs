@@ -77,19 +77,21 @@
 //! assert_eq!((stats.misses, stats.hits, stats.invalidations), (1, 1, 0));
 //! ```
 
-use crate::analysis::{analyze_generated, AnalysisConfig, ArchError, WcrtReport};
+use crate::analysis::{
+    analyze_generated, observer_caps, report_from_sup, AnalysisConfig, ArchError, WcrtReport,
+};
 use crate::engine::{
     apply_run_context, poll_entry_fault, EngineError, EngineReport, Query, RequirementEstimate,
     RunContext,
 };
-use crate::generator::{generate, GeneratedModel};
+use crate::generator::{generate, generate_measuring, GeneratedModel};
 use crate::model::{ArchitectureModel, Requirement};
 use crate::time::Quantizer;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use tempo_check::ExplorationStats;
+use tempo_check::{ExplorationStats, Explorer, SupQuery, TargetSpec};
 
 /// A 64-bit FNV-1a hasher.  The standard library's `DefaultHasher` algorithm
 /// is explicitly unspecified and seeded per process; cone hashes must instead
@@ -229,21 +231,55 @@ fn base_cone_hash(model: &ArchitectureModel, cfg: &AnalysisConfig) -> u64 {
     h.finish()
 }
 
+/// Wall-clock nanoseconds since `started`, clamped to at least 1 ns so a
+/// sub-timer-tick step still registers in the [`DbStats`] timing fields.
+fn nanos_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos())
+        .unwrap_or(u64::MAX)
+        .max(1)
+}
+
+/// The observers a generated network measures.
+#[derive(Clone, Copy)]
+enum Observed<'a> {
+    /// None: the functional network of the queue check.
+    Nothing,
+    /// One requirement: the network of its WCRT query.
+    One(&'a Requirement),
+    /// Every requirement of the model, one observer each: the batched
+    /// network of a session's [`Query::WcrtAll`].
+    All,
+}
+
 /// Cache key of a generated network: the full model content plus the observer
-/// flavor (`None` for the functional base network, `Some` for a measuring
-/// network).  Networks embed every automaton, so their cone is the whole
-/// model rather than a sharing closure.
-fn network_key(model: &ArchitectureModel, observed: Option<&Requirement>, cfg: &AnalysisConfig) -> u64 {
+/// flavor.  Networks embed every automaton, so their cone is the whole model
+/// rather than a sharing closure.
+fn network_key(model: &ArchitectureModel, observed: Observed<'_>, cfg: &AnalysisConfig) -> u64 {
     let mut h = StableHasher::new();
     base_cone_hash(model, cfg).hash(&mut h);
     match observed {
-        None => 0u8.hash(&mut h),
-        Some(req) => {
+        Observed::Nothing => 0u8.hash(&mut h),
+        Observed::One(req) => {
             1u8.hash(&mut h);
             req.hash(&mut h);
         }
+        Observed::All => {
+            2u8.hash(&mut h);
+            model.requirements.hash(&mut h);
+        }
     }
     h.finish()
+}
+
+/// Who a query is answered for, see [`AnalysisDb::answer`].
+#[derive(Clone, Copy)]
+pub(crate) enum Front {
+    /// The database itself: [`Query::WcrtAll`] is one cached query per
+    /// requirement, and reports name the `"incremental"` engine.
+    Db,
+    /// A [`Session`](crate::engine::Session): [`Query::WcrtAll`] is one
+    /// batched exploration, and reports name the `"timed-automata"` engine.
+    Session,
 }
 
 /// Hit/miss/invalidation counters of an [`AnalysisDb`].
@@ -363,17 +399,20 @@ impl AnalysisDb {
     fn network(
         &self,
         model: &ArchitectureModel,
-        observed: Option<&Requirement>,
+        observed: Observed<'_>,
     ) -> Result<Arc<GeneratedModel>, ArchError> {
         let key = network_key(model, observed, &self.cfg);
         if let Some(g) = self.inner.lock().expect("analysis db lock").networks.get(&key) {
             return Ok(Arc::clone(g));
         }
         let gen_started = Instant::now();
-        let generated = Arc::new(generate(model, observed, &self.cfg.generator)?);
-        let gen_nanos = u64::try_from(gen_started.elapsed().as_nanos())
-            .unwrap_or(u64::MAX)
-            .max(1);
+        let options = &self.cfg.generator;
+        let generated = Arc::new(match observed {
+            Observed::Nothing => generate(model, None, options)?,
+            Observed::One(req) => generate(model, Some(req), options)?,
+            Observed::All => generate_measuring(model, &model.requirements, options)?,
+        });
+        let gen_nanos = nanos_since(gen_started);
         let mut inner = self.inner.lock().expect("analysis db lock");
         inner.stats.generations += 1;
         inner.stats.generation_nanos += gen_nanos;
@@ -420,7 +459,7 @@ impl AnalysisDb {
         self.wcrt_with(model, requirement, &cfg)
     }
 
-    fn wcrt_with(
+    pub(crate) fn wcrt_with(
         &self,
         model: &ArchitectureModel,
         requirement: &str,
@@ -446,12 +485,10 @@ impl AnalysisDb {
         }
         // Compute outside the lock so sweep workers explore concurrently;
         // a racing duplicate of the same cone is wasted work, not an error.
-        let generated = self.network(model, Some(&req))?;
+        let generated = self.network(model, Observed::One(&req))?;
         let explore_started = Instant::now();
         let report = analyze_generated(&generated, &req, cfg)?;
-        let explore_nanos = u64::try_from(explore_started.elapsed().as_nanos())
-            .unwrap_or(u64::MAX)
-            .max(1);
+        let explore_nanos = nanos_since(explore_started);
         {
             let mut inner = self.inner.lock().expect("analysis db lock");
             inner.stats.exploration_nanos += explore_nanos;
@@ -469,7 +506,7 @@ impl AnalysisDb {
         self.queue_check_with(model, &self.cfg)
     }
 
-    fn queue_check_with(
+    pub(crate) fn queue_check_with(
         &self,
         model: &ArchitectureModel,
         cfg: &AnalysisConfig,
@@ -489,16 +526,14 @@ impl AnalysisDb {
             inner.stats.misses += 1;
             tempo_obs::event!("db.miss", query = "queues", cone = cone);
         }
-        let generated = self.network(model, None)?;
-        let explorer = tempo_check::Explorer::new(&generated.system, cfg.search.clone())?;
+        let generated = self.network(model, Observed::Nothing)?;
+        let explorer = Explorer::new(&generated.system, cfg.search.clone())?;
         let explore_started = Instant::now();
         let outcome = match &cfg.parallel {
             Some(par) => explorer.par_explore(&|_| {}, par),
             None => explorer.explore(|_| {}),
         };
-        let explore_nanos = u64::try_from(explore_started.elapsed().as_nanos())
-            .unwrap_or(u64::MAX)
-            .max(1);
+        let explore_nanos = nanos_since(explore_started);
         let result = outcome.map_err(ArchError::from);
         let cacheable = match &result {
             Ok(stats) if !stats.truncated => Some(QueueOutcome::Bounded(stats.clone())),
@@ -517,7 +552,7 @@ impl AnalysisDb {
         result
     }
 
-    fn queues_bounded_with(
+    pub(crate) fn queues_bounded_with(
         &self,
         model: &ArchitectureModel,
         cfg: &AnalysisConfig,
@@ -541,10 +576,72 @@ impl AnalysisDb {
         query: &Query,
         ctx: &RunContext,
     ) -> Result<EngineReport, EngineError> {
-        let started = Instant::now();
         model.validate().map_err(ArchError::from)?;
+        self.answer(model, query, ctx, Front::Db)
+    }
+
+    /// The WCRTs of every requirement from **one** exploration of the
+    /// multi-observer network, which is cached under its own key.  The
+    /// answers themselves are not memoized: a batched exploration is counted
+    /// as one miss.
+    pub(crate) fn wcrt_all_batched(
+        &self,
+        model: &ArchitectureModel,
+        cfg: &AnalysisConfig,
+    ) -> Result<Vec<WcrtReport>, ArchError> {
+        if model.requirements.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.inner.lock().expect("analysis db lock").stats.misses += 1;
+        let generated = self.network(model, Observed::All)?;
+        let explorer = Explorer::new(&generated.system, cfg.search.clone())?;
+        let mut queries = Vec::with_capacity(model.requirements.len());
+        for (observer, req) in generated.observers.iter().zip(&model.requirements) {
+            debug_assert_eq!(observer.requirement, req.name);
+            let target = TargetSpec::location(
+                &generated.system,
+                &observer.automaton,
+                &observer.seen_location,
+            )?;
+            let (initial_cap, max_cap) = observer_caps(&generated.quantizer, req, cfg);
+            queries.push(SupQuery {
+                target,
+                clock: observer.clock,
+                initial_cap,
+                max_cap,
+            });
+        }
+        let explore_started = Instant::now();
+        let sups = match &cfg.parallel {
+            Some(par) => explorer.par_sup_clocks_at_auto(&queries, par)?,
+            None => explorer.sup_clocks_at_auto(&queries)?,
+        };
+        self.inner.lock().expect("analysis db lock").stats.exploration_nanos +=
+            nanos_since(explore_started);
+        Ok(model
+            .requirements
+            .iter()
+            .zip(sups)
+            .map(|(req, sup)| report_from_sup(&generated.quantizer, req, sup))
+            .collect())
+    }
+
+    /// Answers a typed [`Query`] for `front` on an already validated model:
+    /// the single query dispatch behind [`AnalysisDb::run`] and
+    /// [`Session::run`](crate::engine::Session::run).
+    pub(crate) fn answer(
+        &self,
+        model: &ArchitectureModel,
+        query: &Query,
+        ctx: &RunContext,
+        front: Front,
+    ) -> Result<EngineReport, EngineError> {
+        let started = Instant::now();
         let mut cfg = apply_run_context(&self.cfg, ctx);
         if poll_entry_fault(ctx)? {
+            // Injected budget exhaustion: degrade exactly as if the
+            // wall-clock budget had expired on entry — the exploration
+            // truncates immediately and the answers are sound lower bounds.
             cfg.search.hook.wall_clock_budget = Some(std::time::Duration::ZERO);
         }
         let (estimates, verdict, states_stored, truncated) = match query {
@@ -580,11 +677,14 @@ impl AnalysisDb {
                 )
             }
             Query::WcrtAll => {
-                let reports: Vec<WcrtReport> = model
-                    .requirements
-                    .iter()
-                    .map(|r| self.wcrt_with(model, &r.name, &cfg))
-                    .collect::<Result<_, _>>()?;
+                let reports: Vec<WcrtReport> = match front {
+                    Front::Db => model
+                        .requirements
+                        .iter()
+                        .map(|r| self.wcrt_with(model, &r.name, &cfg))
+                        .collect::<Result<_, _>>()?,
+                    Front::Session => self.wcrt_all_batched(model, &cfg)?,
+                };
                 let states = reports.iter().map(|r| r.stats.stored_cumulative).max();
                 let truncated = reports.iter().any(|r| r.stats.truncated);
                 (
@@ -600,7 +700,11 @@ impl AnalysisDb {
             }
         };
         Ok(EngineReport {
-            engine: "incremental".into(),
+            engine: match front {
+                Front::Db => "incremental",
+                Front::Session => "timed-automata",
+            }
+            .into(),
             query: query.clone(),
             estimates,
             verdict,

@@ -41,8 +41,9 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
     // the event-model columns because its events have priority and are never
     // queued.  In our reproduction the value is constant across the
     // asynchronous columns (pno, sp, pj, bur); the fully synchronous `po`
-    // column may only be *smaller* (a phase shift can exclude the one bus
-    // blocking by a TMC transfer) — see EXPERIMENTS.md.
+    // column may only be *smaller*: with every offset zero the streams keep
+    // a fixed phase, which can exclude the one bus blocking by a TMC
+    // transfer that the other columns admit.
     let cfg = quick_cfg();
     let mut values = Vec::new();
     for column in EventModelColumn::all() {
@@ -81,10 +82,12 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
         );
     }
     assert!(pno < deadline);
-    // Concrete state-count ceilings per column (measured: po 169, pno 1 100,
-    // sp 677, pj 61 270, bur 718 160 stored states) to catch state-space
+    // Concrete state-count ceilings per column to catch state-space
     // regressions; the pj column must stay below the former 400k truncation
-    // cap with comfortable margin.
+    // cap with comfortable margin.  The ceilings date from the flat store
+    // (then measured at po 169, pno 1 100, sp 677, pj 61 270, bur 718 160
+    // stored states); the default federation store stores po 169, pno 502,
+    // sp 474, pj 4 864 and bur 38 293.
     let ceilings = [5_000usize, 20_000, 20_000, 120_000, 900_000];
     for ((column, report), ceiling) in values.iter().zip(ceilings) {
         assert!(

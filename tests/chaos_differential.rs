@@ -33,10 +33,13 @@ fn tolerance() -> TimeValue {
     TimeValue::micros(1)
 }
 
-/// The two storage stacks the tentpole requires: the default flat sequential
+/// The two storage stacks the harness sweeps: the flat sequential oracle
 /// passed list, and per-discrete-state federations explored in parallel.
 fn stacks() -> Vec<(&'static str, AnalysisConfig)> {
-    let flat_seq = AnalysisConfig::default();
+    let flat_seq = AnalysisConfig {
+        search: SearchOptions::with_storage(StorageKind::Flat),
+        ..AnalysisConfig::default()
+    };
     let mut federation_par = AnalysisConfig {
         search: SearchOptions::with_storage(StorageKind::Federation),
         ..AnalysisConfig::default()

@@ -1,9 +1,10 @@
 //! Session-level tests of the unified engine API: the batched
 //! multi-observer `WcrtAll` path must generate the timed-automata network
 //! **once** and still agree exactly with the classic one-network-per-
-//! requirement analysis (a differential over the pseudo-random corpus and
-//! the TDMA/burst fixtures), and the `RunContext` budget must degrade exact
-//! answers to well-formed lower bounds instead of errors.
+//! requirement analysis of `AnalysisDb::wcrt_all` (a differential over the
+//! pseudo-random corpus and the TDMA/burst fixtures), and the `RunContext`
+//! budget must degrade exact answers to well-formed lower bounds instead of
+//! errors.
 
 mod common;
 
@@ -11,6 +12,7 @@ use common::{burst_model, random_model, tdma_model};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use tempo::arch::incremental::AnalysisDb;
 use tempo::arch::prelude::*;
 use tempo::check::SearchProgress;
 use tempo::engine::EngineError;
@@ -35,9 +37,7 @@ fn batched_wcrt_all_matches_per_requirement_analysis_everywhere() {
             model.name
         );
         assert_eq!(batched.len(), model.requirements.len());
-        let mut dedicated = Session::new(model, cfg).unwrap();
-        dedicated.set_batch_wcrt_all(false);
-        let classic = dedicated.wcrt_all().unwrap();
+        let classic = AnalysisDb::new(cfg).wcrt_all(model).unwrap();
         for (b, c) in batched.iter().zip(&classic) {
             assert_eq!(b.requirement, c.requirement);
             assert_eq!(
@@ -72,9 +72,7 @@ fn batched_wcrt_all_matches_under_parallel_federation_storage() {
         };
         let session = Session::new(&model, cfg).unwrap();
         let batched = session.wcrt_all().unwrap();
-        let mut dedicated = Session::new(&model, AnalysisConfig::default()).unwrap();
-        dedicated.set_batch_wcrt_all(false);
-        let classic = dedicated.wcrt_all().unwrap();
+        let classic = AnalysisDb::new(AnalysisConfig::default()).wcrt_all(&model).unwrap();
         for (b, c) in batched.iter().zip(&classic) {
             assert_eq!(b.wcrt, c.wcrt, "{}/{}", model.name, b.requirement);
             assert_eq!(b.meets_deadline, c.meets_deadline);

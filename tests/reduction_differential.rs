@@ -12,10 +12,11 @@
 //! that never fires would pass any differential check vacuously.
 //!
 //! Since PR 4 the same obligation covers the state-*storage* subsystem
-//! (`SearchOptions::storage`): the flat antichain store, the federation store
-//! with union-coverage subsumption, and the sharded concurrent store of the
-//! parallel checker must agree on every WCRT, lower bound, deadline verdict
-//! and clock supremum across the whole corpus and all fixtures (see
+//! (`SearchOptions::storage`): the plain flat antichain store (the reference
+//! oracle), the default federation store with union-coverage subsumption and
+//! exact convex merging, and the sharded concurrent store of the parallel
+//! checker must agree on every WCRT, lower bound, deadline verdict and clock
+//! supremum across the whole corpus and all fixtures (see
 //! `storage_backends_agree_*` below).
 
 mod common;
@@ -24,11 +25,10 @@ use common::{burst_model, random_model, tdma_model};
 use tempo::arch::prelude::*;
 use tempo::check::{Explorer, SearchOptions, TargetSpec};
 
-fn cfg2(reduction: bool, merging: bool) -> AnalysisConfig {
+fn cfg(reduction: bool) -> AnalysisConfig {
     AnalysisConfig {
         search: SearchOptions {
             active_clock_reduction: reduction,
-            exact_zone_merging: merging,
             ..SearchOptions::default()
         },
         ..AnalysisConfig::default()
@@ -61,17 +61,23 @@ fn storage_matrix() -> Vec<(&'static str, AnalysisConfig)> {
 
 /// Asserts that all storage backends agree with the flat baseline on
 /// everything a user can observe for `requirement`, and returns the flat and
-/// federation stored-state counts.
-fn assert_storage_backends_match(model: &ArchitectureModel, requirement: &str) -> (usize, usize) {
+/// federation stored-state counts and the federation's merged-zone count.
+fn assert_storage_backends_match(
+    model: &ArchitectureModel,
+    requirement: &str,
+) -> (usize, usize, usize) {
     let mut baseline: Option<WcrtReport> = None;
-    let mut counts = (0usize, 0usize);
+    let mut counts = (0usize, 0usize, 0usize);
     for (label, cfg) in storage_matrix() {
         let report = Session::new(model, cfg)
             .and_then(|s| s.wcrt(requirement))
             .unwrap_or_else(|e| panic!("{}/{requirement} with {label}: {e}", model.name));
         match label {
             "flat" => counts.0 = report.stats.stored_cumulative,
-            "federation" => counts.1 = report.stats.stored_cumulative,
+            "federation" => {
+                counts.1 = report.stats.stored_cumulative;
+                counts.2 = report.stats.zones_merged;
+            }
             _ => {}
         }
         match &baseline {
@@ -96,10 +102,6 @@ fn assert_storage_backends_match(model: &ArchitectureModel, requirement: &str) -
         }
     }
     counts
-}
-
-fn cfg(reduction: bool) -> AnalysisConfig {
-    cfg2(reduction, true)
 }
 
 /// Asserts that the two analyses of `requirement` agree on everything a user
@@ -220,52 +222,33 @@ fn burst_fixture_matches() {
     );
 }
 
-/// Exact zone merging (the second half of the state-collapse machinery) must
-/// also be invisible to every observable result: same WCRTs with merging on
-/// and off, across the corpus and the burst fixture, while actually firing.
-#[test]
-fn exact_zone_merging_is_wcrt_preserving() {
-    let mut merges_seen = false;
-    for seed in [1u64, 4, 6] {
-        let model = random_model(seed);
-        for req in ["r0", "r1"] {
-            let with = Session::new(&model, cfg2(true, true)).unwrap().wcrt(req).unwrap();
-            let without = Session::new(&model, cfg2(true, false)).unwrap().wcrt(req).unwrap();
-            assert_eq!(with.wcrt, without.wcrt, "{}/{req}: merging changed the WCRT", model.name);
-            assert_eq!(with.lower_bound, without.lower_bound, "{}/{req}", model.name);
-            assert_eq!(without.stats.zones_merged, 0);
-            assert!(
-                with.stats.stored_cumulative <= without.stats.stored_cumulative,
-                "{}/{req}: merging stored more states",
-                model.name
-            );
-            merges_seen |= with.stats.zones_merged > 0;
-        }
-    }
-    assert!(merges_seen, "exact zone merging never fired on the corpus");
-}
-
 /// The storage differential over the pseudo-random corpus: flat, federation
 /// and sharded (parallel, both per-shard backends) stores must produce
 /// identical WCRTs, lower bounds and deadline verdicts — and the federation
-/// store's union-coverage subsumption must actually fire somewhere (fewer
-/// stored states than flat at least once), or the differential is vacuous.
+/// store's union-coverage subsumption and exact convex merging must each
+/// actually fire somewhere (fewer stored states than flat at least once, a
+/// merged zone at least once), or the differential is vacuous.  The plain
+/// flat store never merges, so agreement with it is the exactness proof of
+/// merging too.
 #[test]
 fn storage_backends_agree_on_generated_corpus() {
     let mut federation_ever_smaller = false;
+    let mut merges_seen = false;
     for seed in 0..8u64 {
         let model = random_model(seed);
         for req in ["r0", "r1"] {
-            let (flat, federation) = assert_storage_backends_match(&model, req);
+            let (flat, federation, merged) = assert_storage_backends_match(&model, req);
             if federation < flat {
                 federation_ever_smaller = true;
             }
+            merges_seen |= merged > 0;
         }
     }
     assert!(
         federation_ever_smaller,
         "federation storage never stored fewer states than flat on the corpus"
     );
+    assert!(merges_seen, "exact zone merging never fired on the corpus");
 }
 
 /// The storage differential over the TDMA and burst fixtures.  The burst
@@ -278,7 +261,7 @@ fn storage_backends_agree_on_tdma_and_burst_fixtures() {
         assert_storage_backends_match(&tdma, req);
     }
     let burst = burst_model();
-    let (flat, federation) = assert_storage_backends_match(&burst, "lo-e2e");
+    let (flat, federation, _) = assert_storage_backends_match(&burst, "lo-e2e");
     assert!(
         federation < flat,
         "union-coverage subsumption should shrink the burst fixture ({federation} vs {flat})"

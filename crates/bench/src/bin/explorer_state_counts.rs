@@ -6,9 +6,9 @@
 //! AddressLookup requirement of the (quick, 8× slowed user streams) radio
 //! navigation case study with the flat and the federation passed-list stores
 //! (plus, for the light columns, with active-clock reduction off) and prints
-//! the stored/explored state counts, the union-subsumption and eviction
-//! counts, the waiting-list high-water mark, the number of dead-clock
-//! canonicalizations and the wall-clock time.
+//! the stored/explored state counts, the eviction and merge counts, the
+//! waiting-list high-water mark, the number of dead-clock canonicalizations
+//! and the wall-clock time.
 //!
 //! Run with `cargo run --release -p tempo_bench --bin explorer_state_counts`;
 //! pass `--full` to use the paper's original workload instead of the quick
@@ -50,7 +50,7 @@ fn to_json(workload: &str, rows: &[Row]) -> String {
         out.push_str(&format!(
             "    {{\"column\": \"{}\", \"storage\": \"{}\", \"reduction\": {}, \
              \"stored\": {}, \"explored\": {}, \"transitions\": {}, \
-             \"subsumed_by_union\": {}, \"evicted\": {}, \"merged\": {}, \
+             \"evicted\": {}, \"merged\": {}, \
              \"live_zones\": {}, \"peak_waiting\": {}, \"clocks_eliminated\": {}, \
              \"truncated\": {}, \"wcrt_ms\": {}, \"lower_bound_ms\": {}, \
              \"wall_seconds\": {:.6}}}{}\n",
@@ -60,7 +60,6 @@ fn to_json(workload: &str, rows: &[Row]) -> String {
             s.stored_cumulative,
             s.states_explored,
             s.transitions,
-            s.zones_subsumed_by_union,
             s.zones_evicted,
             s.zones_merged,
             s.zones_live,
@@ -95,8 +94,8 @@ fn main() {
     let requirement = "AddressLookup (+ HandleTMC)";
     println!("explorer_state_counts ({workload} workload), requirement: {requirement}");
     println!(
-        "{:<22} {:>10} {:>9} {:>10} {:>10} {:>10} {:>9} {:>9} {:>12} {:>10} {:>9}",
-        "column", "storage", "reduction", "stored", "explored", "sub_union", "evicted", "merged",
+        "{:<22} {:>10} {:>9} {:>10} {:>10} {:>9} {:>9} {:>12} {:>10} {:>9}",
+        "column", "storage", "reduction", "stored", "explored", "evicted", "merged",
         "eliminated", "wcrt_ms", "secs"
     );
     let mut rows: Vec<Row> = Vec::new();
@@ -144,13 +143,12 @@ fn main() {
                                 .unwrap_or_else(|| "-".into())
                         });
                     println!(
-                        "{:<22} {:>10} {:>9} {:>10} {:>10} {:>10} {:>9} {:>9} {:>12} {:>10} {:>9.2}{}",
+                        "{:<22} {:>10} {:>9} {:>10} {:>10} {:>9} {:>9} {:>12} {:>10} {:>9.2}{}",
                         column.label(),
                         storage_label,
                         if reduction { "on" } else { "off" },
                         report.stats.stored_cumulative,
                         report.stats.states_explored,
-                        report.stats.zones_subsumed_by_union,
                         report.stats.zones_evicted,
                         report.stats.zones_merged,
                         report.stats.clocks_eliminated,

@@ -148,16 +148,17 @@ pub struct SearchOptions {
     /// or to debug.
     pub active_clock_reduction: bool,
     /// The passed/waiting storage discipline (see [`StorageKind`]).  The
-    /// default federation store discards a zone already covered by the
-    /// *union* of the stored zones and, in untargeted searches (supremum
-    /// queries, [`Explorer::explore`]), replaces a new zone and the stored
-    /// zones it forms an exactly convex union with by their hull
-    /// ([`tempo_dbm::Dbm::try_merge`]).  Unlike UPPAAL's `-C` convex-hull
-    /// over-approximation this never adds valuations, so verdicts and suprema
-    /// are preserved exactly.  Targeted reachability searches never merge, so
-    /// every diagnostic trace step is a computed successor of the step before
-    /// it.  The plain single-zone-inclusion [`StorageKind::Flat`] store is the
-    /// reference oracle of the differential harnesses.
+    /// default federation store discards a zone some stored zone includes,
+    /// evicts the stored zones it strictly includes and, in untargeted
+    /// searches (supremum queries, [`Explorer::explore`]), replaces a new
+    /// zone and the stored zones it forms an exactly convex union with by
+    /// their hull ([`tempo_dbm::Dbm::try_merge`]).  Unlike UPPAAL's `-C`
+    /// convex-hull over-approximation this never adds valuations, so
+    /// verdicts and suprema are preserved exactly.  Targeted reachability
+    /// searches never merge, so every diagnostic trace step is a computed
+    /// successor of the step before it.  The plain single-zone-inclusion
+    /// [`StorageKind::Flat`] store is the reference oracle of the
+    /// differential harnesses.
     pub storage: StorageKind,
     /// Abort the exploration after this many stored states.
     pub max_states: Option<usize>,
@@ -241,13 +242,8 @@ pub struct ExplorationStats {
     /// [`SearchOptions::storage`]); `0` under flat storage or in a targeted
     /// search.
     pub zones_merged: usize,
-    /// Number of computed zones discarded because the **union** of the
-    /// stored zones covers them while no single stored zone does — only the
-    /// federation store ([`StorageKind::Federation`]) can detect these; `0`
-    /// under flat storage.
-    pub zones_subsumed_by_union: usize,
-    /// Number of stored zones dropped because a newcomer includes them, or
-    /// (federation storage) because the union of their peers covers them.
+    /// Number of stored zones dropped because a newcomer strictly includes
+    /// them.
     pub zones_evicted: usize,
     /// Net number of zones held by the passed/waiting store when the
     /// exploration finished — the store's memory footprint, as opposed to
@@ -448,12 +444,7 @@ impl<'s> Explorer<'s> {
                     }
                 }
                 match passed.insert(&succ.discrete, &mut succ.zone, merging) {
-                    Insert::Subsumed { by_union } => {
-                        if by_union {
-                            stats.zones_subsumed_by_union += 1;
-                        }
-                        continue;
-                    }
+                    Insert::Subsumed => continue,
                     Insert::Inserted { evicted, merged } => {
                         stats.zones_evicted += evicted;
                         stats.zones_merged += merged;
@@ -630,13 +621,13 @@ mod tests {
     }
 
     /// Targeted searches under the default federation store return traces
-    /// that are genuine symbolic paths, also when the store evicts zones or
-    /// subsumes them by union coverage along the way.
+    /// that are genuine symbolic paths, also when the store evicts zones
+    /// along the way.
     #[test]
     fn federation_traces_replay_through_the_successor_relation() {
         let opts = SearchOptions::default();
         assert_eq!(opts.storage, StorageKind::Federation);
-        let mut pruned = 0;
+        let mut evicted = 0;
         for (sys, a, b) in [(unprotected_mutex(), "p1", "p2"), (weak_fischer(3), "P1", "P2")] {
             let target = TargetSpec::location(&sys, a, "cs")
                 .unwrap()
@@ -649,9 +640,9 @@ mod tests {
             assert!(report.reachable, "{}", sys.name);
             assert_trace_replays(&sys, &opts, &target, &report.trace.unwrap());
             assert_eq!(report.stats.zones_merged, 0, "targeted searches never merge");
-            pruned += report.stats.zones_evicted + report.stats.zones_subsumed_by_union;
+            evicted += report.stats.zones_evicted;
         }
-        assert!(pruned > 0, "no search evicted or union-subsumed a zone");
+        assert!(evicted > 0, "no search evicted a zone");
     }
 
     /// `SearchProgress::states_stored` is the store's live zone count in the

@@ -11,13 +11,14 @@
 //!   urgent and committed locations,
 //! * a passed/waiting list with zone-inclusion subsumption and
 //!   location-dependent ExtraLU extrapolation guarantees termination; by
-//!   default each discrete state keeps a *federation* whose union-coverage
-//!   subsumption discards zones covered by the union of the stored zones and
-//!   whose exact convex merging folds neighbouring zones into their hull
-//!   ([`StorageKind::Federation`]) — exact, and the difference between
-//!   truncation and completion on the burstiest case-study columns.  The
-//!   plain single-zone-inclusion antichain ([`StorageKind::Flat`]) stays as
-//!   the reference oracle the differential tests compare against,
+//!   default each discrete state keeps a *federation* of zones that
+//!   discards a newcomer some stored zone includes, evicts the stored zones
+//!   a newcomer strictly includes, and folds neighbouring zones into their
+//!   hull by exact convex merging ([`StorageKind::Federation`]) — exact, and
+//!   the difference between truncation and completion on the burstiest
+//!   case-study columns.  The plain single-zone-inclusion antichain
+//!   ([`StorageKind::Flat`]) stays as the reference oracle the differential
+//!   tests compare against,
 //! * active-clock reduction (on by default, see
 //!   [`SearchOptions::active_clock_reduction`]): clocks a static inactivity
 //!   analysis proves dead in a discrete state are reset to a canonical value

@@ -9,7 +9,7 @@
 //! * the *passed* list is a lock-striped [`crate::store::ShardedStore`]
 //!   whose per-shard backend follows
 //!   [`SearchOptions::storage`](crate::SearchOptions::storage) (flat
-//!   antichains or union-subsuming federations), so inclusion subsumption
+//!   antichains or merging federations), so inclusion subsumption
 //!   remains a per-discrete-state critical section without a global mutex,
 //! * the *waiting* work is distributed over per-worker
 //!   [`crossbeam::deque::Worker`] deques: each worker expands states from
@@ -431,7 +431,7 @@ impl<'s> Explorer<'s> {
                                         match passed.insert(&succ.discrete, &mut succ.zone, merging)
                                         {
                                             // Aggregate counters live in the store.
-                                            Insert::Subsumed { .. } => continue,
+                                            Insert::Subsumed => continue,
                                             Insert::Inserted { .. } => outcome.stored += 1,
                                         }
                                         if let Some(limit) = max_states {
@@ -561,7 +561,6 @@ impl<'s> Explorer<'s> {
         stats.truncated = truncated.load(Ordering::SeqCst);
         stats.zones_merged = passed.zones_merged();
         stats.zones_evicted = passed.zones_evicted();
-        stats.zones_subsumed_by_union = passed.zones_subsumed_by_union();
         stats.peak_waiting = peak_pending.load(Ordering::Relaxed);
         stats.duration = start.elapsed();
 

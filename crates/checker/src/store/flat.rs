@@ -45,7 +45,7 @@ impl StateStore for FlatStore {
         let zones = &mut self.zones[id as usize];
         if zones.iter().any(|z| z.includes(zone)) {
             tempo_obs::counter("store.subsumed", 1);
-            return Insert::Subsumed { by_union: false };
+            return Insert::Subsumed;
         }
         // Drop stored zones now subsumed by the new one.
         let before = zones.len();

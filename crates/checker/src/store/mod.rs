@@ -7,15 +7,12 @@
 //! the big case-study columns are tractable:
 //!
 //! * [`FederationStore`] — the default.  It stores a
-//!   [`tempo_dbm::Federation`] per discrete state and rejects a newcomer when
-//!   the **union** of the stored zones covers it
-//!   ([`tempo_dbm::Federation::coverage_of`]), which convex single-zone
-//!   storage can never detect; stored zones strictly included in a newcomer
-//!   are evicted, untargeted searches fold a newcomer and the stored zones it
-//!   forms an exact convex union with into their hull
-//!   ([`tempo_dbm::Federation::absorb_convex`]), and periodically the
-//!   federation is [`tempo_dbm::Federation::reduce`]d so members covered by
-//!   their peers' union are dropped too.
+//!   [`tempo_dbm::Federation`] per discrete state: a newcomer is rejected
+//!   when a single stored zone includes it, stored zones strictly included
+//!   in a newcomer are evicted, and untargeted searches fold a newcomer and
+//!   the stored zones it forms an exact convex union with into their hull
+//!   ([`tempo_dbm::Federation::absorb_convex`]).  Queued states whose zone
+//!   was evicted or absorbed are skipped ([`StateStore::is_current`]).
 //! * [`FlatStore`] — the classic antichain of zones with *single-zone*
 //!   inclusion subsumption and nothing else.  It is the reference oracle the
 //!   differential harnesses compare the federation store against.
@@ -48,9 +45,9 @@ pub enum StorageKind {
     /// subsumption and no merging: the reference oracle of the differential
     /// harnesses, not a production configuration.
     Flat,
-    /// Per-discrete-state federations with union-coverage subsumption,
-    /// eviction of union-covered members and exact convex merging in
-    /// untargeted searches (the default).
+    /// Per-discrete-state federations with single-zone inclusion
+    /// subsumption, eviction, exact convex merging in untargeted searches and
+    /// skipping of replaced queued states (the default).
     #[default]
     Federation,
 }
@@ -58,19 +55,13 @@ pub enum StorageKind {
 /// Outcome of a [`StateStore::insert`] attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Insert {
-    /// The zone is already covered by the store; the state must not be
-    /// expanded.  `by_union` is `true` when only the union of stored zones
-    /// covers it (federation storage) and no single stored zone does.
-    Subsumed {
-        /// Covered only by the union of stored zones, not by any single one.
-        by_union: bool,
-    },
+    /// A stored zone includes the zone; the state must not be expanded.
+    Subsumed,
     /// The zone was stored and must be expanded.  The caller's zone may have
     /// been grown in place to an exact convex hull when merging absorbed
     /// stored zones (federation storage only).
     Inserted {
-        /// Stored zones dropped because the newcomer (or, after a periodic
-        /// federation reduction, the union of their peers) covers them.
+        /// Stored zones dropped because the newcomer strictly includes them.
         evicted: usize,
         /// Stored zones absorbed into the newcomer by exact convex merging.
         merged: usize,
@@ -97,8 +88,8 @@ pub(crate) trait StateStore: Send {
     /// expansion yields a superset of its successors.  The flat store always
     /// answers `true` (the classic exploration, kept as the oracle); the
     /// federation store answers from membership, which is what collapses
-    /// the burst columns — the union keeps absorbing queued-but-unexpanded
-    /// fragments before they are ever expanded.
+    /// the burst columns — merging keeps absorbing queued-but-unexpanded
+    /// fragments into hulls before they are ever expanded.
     fn is_current(&self, discrete: &DiscreteState, zone: &Dbm) -> bool;
 
     /// Net number of zones currently stored (after evictions and merges).
@@ -163,7 +154,7 @@ mod tests {
         // Covered by a single zone: rejected, and a superset evicts.
         assert_eq!(
             store.insert(&s, &mut interval(1, 2), false),
-            Insert::Subsumed { by_union: false }
+            Insert::Subsumed
         );
         assert_eq!(
             store.insert(&s, &mut interval(0, 10), false),
@@ -173,27 +164,37 @@ mod tests {
     }
 
     #[test]
-    fn federation_store_subsumes_by_union_and_evicts() {
+    fn federation_store_subsumes_by_member_and_evicts() {
         let system = sys();
         let s = d(&system);
-        let mut store = new_store(StorageKind::Federation, 1);
-        store.insert(&s, &mut interval(0, 4), false);
-        store.insert(&s, &mut interval(3, 7), false);
-        // [1,6] ⊆ [0,4] ∪ [3,7]: only the federation store rejects this.
-        assert_eq!(
-            store.insert(&s, &mut interval(1, 6), false),
-            Insert::Subsumed { by_union: true }
-        );
-        assert_eq!(
-            store.insert(&s, &mut interval(2, 3), false),
-            Insert::Subsumed { by_union: false }
-        );
-        // A newcomer strictly including a stored zone evicts it.
-        assert_eq!(
-            store.insert(&s, &mut interval(2, 9), false),
-            Insert::Inserted { evicted: 1, merged: 0 }
-        );
-        assert_eq!(store.live_zones(), 2);
+        for merge in [false, true] {
+            let mut store = new_store(StorageKind::Federation, 1);
+            store.insert(&s, &mut interval(0, 4), false);
+            store.insert(&s, &mut interval(3, 7), false);
+            // [1,6] ⊆ [0,4] ∪ [3,7] but in neither alone: it is stored, and
+            // merging folds all three into their exact hull [0,7].
+            let mut straddler = interval(1, 6);
+            if merge {
+                assert_eq!(
+                    store.insert(&s, &mut straddler, merge),
+                    Insert::Inserted { evicted: 0, merged: 2 }
+                );
+                assert!(straddler.includes(&interval(0, 7)));
+            } else {
+                assert_eq!(
+                    store.insert(&s, &mut straddler, merge),
+                    Insert::Inserted { evicted: 0, merged: 0 }
+                );
+            }
+            assert_eq!(store.insert(&s, &mut interval(2, 3), merge), Insert::Subsumed);
+            // A newcomer strictly including stored zones evicts them.
+            let evicted = if merge { 1 } else { 3 };
+            assert_eq!(
+                store.insert(&s, &mut interval(0, 9), merge),
+                Insert::Inserted { evicted, merged: 0 }
+            );
+            assert_eq!(store.live_zones(), 1);
+        }
     }
 
     #[test]
@@ -217,15 +218,19 @@ mod tests {
         let system = sys();
         let s = d(&system);
         let store = ShardedStore::new(StorageKind::Federation, 4, 1);
-        store.insert(&s, &mut interval(0, 4), false);
-        store.insert(&s, &mut interval(3, 7), false);
+        store.insert(&s, &mut interval(0, 4), true);
+        store.insert(&s, &mut interval(6, 9), true);
+        assert_eq!(store.insert(&s, &mut interval(1, 2), true), Insert::Subsumed);
         assert_eq!(
-            store.insert(&s, &mut interval(1, 6), false),
-            Insert::Subsumed { by_union: true }
+            store.insert(&s, &mut interval(5, 10), true),
+            Insert::Inserted { evicted: 1, merged: 0 }
         );
-        assert_eq!(store.live_zones(), 2);
-        assert_eq!(store.zones_subsumed_by_union(), 1);
-        assert_eq!(store.zones_evicted(), 0);
-        assert_eq!(store.zones_merged(), 0);
+        assert_eq!(
+            store.insert(&s, &mut interval(3, 5), true),
+            Insert::Inserted { evicted: 0, merged: 2 }
+        );
+        assert_eq!(store.live_zones(), 1);
+        assert_eq!(store.zones_evicted(), 1);
+        assert_eq!(store.zones_merged(), 2);
     }
 }

@@ -19,7 +19,6 @@ pub(crate) struct ShardedStore {
     live: AtomicUsize,
     merged: AtomicUsize,
     evicted: AtomicUsize,
-    subsumed_by_union: AtomicUsize,
 }
 
 impl ShardedStore {
@@ -31,7 +30,6 @@ impl ShardedStore {
             live: AtomicUsize::new(0),
             merged: AtomicUsize::new(0),
             evicted: AtomicUsize::new(0),
-            subsumed_by_union: AtomicUsize::new(0),
         }
     }
 
@@ -49,23 +47,16 @@ impl ShardedStore {
         let outcome = self.shards[self.shard_of(discrete)]
             .lock()
             .insert(discrete, zone, merge);
-        match outcome {
-            Insert::Subsumed { by_union } => {
-                if by_union {
-                    self.subsumed_by_union.fetch_add(1, Ordering::Relaxed);
-                }
+        if let Insert::Inserted { evicted, merged } = outcome {
+            // `evicted + merged` zones leave the store, one enters.
+            let removed = evicted + merged;
+            if removed > 0 {
+                self.live.fetch_sub(removed - 1, Ordering::Relaxed);
+            } else {
+                self.live.fetch_add(1, Ordering::Relaxed);
             }
-            Insert::Inserted { evicted, merged } => {
-                // `evicted + merged` zones leave the store, one enters.
-                let removed = evicted + merged;
-                if removed > 0 {
-                    self.live.fetch_sub(removed - 1, Ordering::Relaxed);
-                } else {
-                    self.live.fetch_add(1, Ordering::Relaxed);
-                }
-                self.evicted.fetch_add(evicted, Ordering::Relaxed);
-                self.merged.fetch_add(merged, Ordering::Relaxed);
-            }
+            self.evicted.fetch_add(evicted, Ordering::Relaxed);
+            self.merged.fetch_add(merged, Ordering::Relaxed);
         }
         outcome
     }
@@ -92,13 +83,8 @@ impl ShardedStore {
         self.merged.load(Ordering::Relaxed)
     }
 
-    /// Total stored zones evicted by newcomers or federation reductions.
+    /// Total stored zones evicted by newcomers.
     pub(crate) fn zones_evicted(&self) -> usize {
         self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Total newcomers rejected only by union coverage.
-    pub(crate) fn zones_subsumed_by_union(&self) -> usize {
-        self.subsumed_by_union.load(Ordering::Relaxed)
     }
 }

@@ -1,25 +1,16 @@
 //! Federations: finite unions of DBM zones over the same clocks.
 //!
-//! The forward reachability algorithm itself only needs single zones, but
-//! federations are convenient for representing target sets of queries, for the
-//! passed-list per discrete state, and in tests.
+//! Members form an antichain under single-zone inclusion: adding a zone that
+//! some member includes changes nothing, and adding any other zone evicts
+//! the members it strictly includes — one [`Dbm::relation`] per member
+//! decides both.  [`Federation::add_merging`] also folds the newcomer and
+//! the members it forms an exact convex union with into their hull
+//! ([`Federation::absorb_convex`]), which is the passed-list discipline of
+//! the checker's default federation store.  Every operation preserves the
+//! denoted set of valuations exactly.
 
 use crate::{Clock, Constraint, Dbm, Relation};
 use std::fmt;
-
-/// How a candidate zone is covered by a federation, see
-/// [`Federation::coverage_of`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ZoneCoverage {
-    /// The zone contains valuations outside the federation.
-    NotCovered,
-    /// A single member zone includes the candidate (the cheap test convex
-    /// passed lists already perform).
-    Member,
-    /// No single member includes the candidate, but the *union* of the
-    /// members does — the case only federation storage can detect.
-    Union,
-}
 
 /// A finite union of zones (possibly empty) over the same set of clocks.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,9 +65,22 @@ impl Federation {
     /// stored zone, and removing stored zones that it subsumes.
     ///
     /// Returns `true` if the federation grew (the zone was not subsumed).
-    pub fn add(&mut self, zone: Dbm) -> bool {
+    pub fn add(&mut self, mut zone: Dbm) -> bool {
+        self.add_merging(&mut zone, 0).is_some()
+    }
+
+    /// [`Federation::add`] with exact merging: after the inclusion scan, the
+    /// members `zone` forms an exact convex union with are absorbed into it
+    /// ([`Federation::absorb_convex`] with `failure_budget`; `0` disables
+    /// merging), so `zone` may grow in place before it is stored.
+    ///
+    /// Returns `None` (and changes nothing) if `zone` is empty or some member
+    /// includes it, and otherwise `Some((evicted, absorbed))`: the members
+    /// dropped because `zone` strictly includes them, and the members merged
+    /// into it.
+    pub fn add_merging(&mut self, zone: &mut Dbm, failure_budget: usize) -> Option<(usize, usize)> {
         if zone.is_empty() {
-            return false;
+            return None;
         }
         assert_eq!(zone.num_clocks(), self.num_clocks, "dimension mismatch");
         // One relation per member decides both directions: reject the
@@ -85,7 +89,7 @@ impl Federation {
         let mut evict = Vec::new();
         for (i, existing) in self.zones.iter().enumerate() {
             match zone.relation(existing) {
-                Relation::Equal | Relation::Subset => return false,
+                Relation::Equal | Relation::Subset => return None,
                 Relation::Superset => evict.push(i),
                 Relation::Incomparable => {}
             }
@@ -93,8 +97,9 @@ impl Federation {
         for &i in evict.iter().rev() {
             self.zones.remove(i);
         }
-        self.zones.push(zone);
-        true
+        let absorbed = self.absorb_convex(zone, failure_budget);
+        self.zones.push(zone.clone());
+        Some((evict.len(), absorbed))
     }
 
     /// `true` iff the valuation is contained in some member zone.
@@ -102,162 +107,14 @@ impl Federation {
         self.zones.iter().any(|z| z.contains_point(valuation))
     }
 
-    /// Pieces remaining when the members of this federation are successively
-    /// subtracted from `zone`; stops (returning the non-empty rest) as soon
-    /// as the piece count exceeds `piece_cap`, which keeps the worst case of
-    /// the coverage test bounded on hot paths.  An empty result means `zone`
-    /// is covered by the union of the members.
-    fn remainder_of(&self, zone: &Dbm, piece_cap: usize) -> Vec<Dbm> {
-        // Members that certainly miss the candidate cannot remove anything
-        // from its pieces (every piece is a subset of the candidate) — drop
-        // them before they cost one subtraction per piece.
-        let relevant: Vec<&Dbm> = self
-            .zones
-            .iter()
-            .filter(|member| !zone.surely_disjoint(member))
-            .collect();
-        // Necessary condition with no subtraction at all: the union of the
-        // relevant members lies inside their convex hull, so a candidate
-        // poking out of the hull is certainly not covered.  Most failing
-        // coverage queries on the passed-list hot path exit here.
-        match relevant.as_slice() {
-            [] => return vec![zone.clone()],
-            [one] => {
-                if !one.includes(zone) {
-                    return vec![zone.clone()];
-                }
-            }
-            [first, rest @ ..] => {
-                let mut hull = (*first).clone();
-                for member in rest {
-                    hull.hull_in_place(member);
-                }
-                if !hull.includes(zone) {
-                    return vec![zone.clone()];
-                }
-            }
-        }
-        let mut remainder = vec![zone.clone()];
-        for member in relevant {
-            let mut next = Vec::new();
-            for piece in remainder {
-                // Pieces the member certainly misses survive unchanged; move
-                // them instead of routing through a subtraction (which would
-                // clone).  This re-check is not redundant with the `relevant`
-                // filter above: pieces shrink as members are subtracted, so a
-                // member overlapping the candidate can still miss most of its
-                // surviving pieces.
-                if piece.surely_disjoint(member) {
-                    next.push(piece);
-                } else {
-                    piece.split_off_difference(member, |p| {
-                        next.push(p);
-                        true
-                    });
-                }
-                // Consult the cap per piece, not per member: one member pass
-                // can multiply the piece count by O(dim²), and the cap exists
-                // to bound exactly that hot-path blow-up.
-                if next.len() > piece_cap {
-                    return next;
-                }
-            }
-            remainder = next;
-            if remainder.is_empty() {
-                break;
-            }
-        }
-        remainder
-    }
-
-    /// Classifies how `zone` is covered by the federation: by a single member
-    /// zone (the cheap convex test), only by the *union* of the members
-    /// (detected with zone subtraction), or not at all.
-    ///
-    /// The union test is exact up to an internal piece budget: coverage by
-    /// very fragmented unions may conservatively be reported as
-    /// [`ZoneCoverage::NotCovered`], which is sound for passed-list use (the
-    /// zone is then explored rather than discarded).  The empty zone is
-    /// covered by any federation.
-    pub fn coverage_of(&self, zone: &Dbm) -> ZoneCoverage {
-        if zone.is_empty() {
-            return ZoneCoverage::Member;
-        }
-        // Fast path: any single member includes the candidate.
-        if self.zones.iter().any(|z| z.includes(zone)) {
-            return ZoneCoverage::Member;
-        }
-        if self.zones.len() < 2 {
-            return ZoneCoverage::NotCovered;
-        }
-        const PIECE_CAP: usize = 512;
-        if self.remainder_of(zone, PIECE_CAP).is_empty() {
-            ZoneCoverage::Union
-        } else {
-            ZoneCoverage::NotCovered
-        }
-    }
-
-    /// `true` iff the given zone is included in the **union** of the member
-    /// zones (not necessarily in any single one), computed by subtracting the
-    /// members from the candidate, with the any-single-member inclusion test
-    /// as a fast path.
-    ///
-    /// This is the coverage test behind federation-based passed lists: a zone
-    /// covered by the union of the stored zones need not be explored again,
-    /// which convex single-zone storage can never detect.
-    pub fn includes_zone(&self, zone: &Dbm) -> bool {
-        !matches!(self.coverage_of(zone), ZoneCoverage::NotCovered)
-    }
-
-    /// The set difference `federation \ zone` as a new federation: every
-    /// member is split around `zone` and the non-empty pieces are collected
-    /// (with the usual inclusion reduction of [`Federation::add`]).
-    pub fn subtract_zone(&self, zone: &Dbm) -> Federation {
-        let mut out = Federation::empty(self.num_clocks);
-        if zone.is_empty() {
-            for z in &self.zones {
-                out.add(z.clone());
-            }
-            return out;
-        }
-        for z in &self.zones {
-            for piece in z.subtract(zone) {
-                out.add(piece);
-            }
-        }
-        out
-    }
-
-    /// Drops every member zone that is covered by the union of the *other*
-    /// members (one pass, oldest member first) and returns the number of
-    /// zones dropped.  The denoted set is preserved exactly: a zone is only removed
-    /// when the remaining members still cover it, so the reduced federation
-    /// describes the same valuations with fewer (never more) zones.
-    pub fn reduce(&mut self) -> usize {
-        let mut dropped = 0;
-        let mut i = 0;
-        while i < self.zones.len() {
-            if self.zones.len() < 2 {
-                break;
-            }
-            let candidate = self.zones.remove(i);
-            if matches!(self.coverage_of(&candidate), ZoneCoverage::NotCovered) {
-                self.zones.insert(i, candidate);
-                i += 1;
-            } else {
-                dropped += 1;
-            }
-        }
-        dropped
-    }
-
     /// Merges `zone` with every member it forms an *exact* convex union with
     /// ([`Dbm::try_merge`], newest-first, with a budget of `failure_budget`
     /// failed attempts refreshed on every success so cascades complete),
     /// removing the absorbed members and growing `zone` to the common hull.
-    /// Returns the number of members absorbed; the caller is expected to
-    /// [`Federation::add`] the final `zone` afterwards.
+    /// A member inside the grown `zone` merges trivially, so members only the
+    /// grown zone includes are absorbed too, within the budget.  Returns the
+    /// number of members absorbed; `zone` itself is not stored (see
+    /// [`Federation::add_merging`]).
     pub fn absorb_convex(&mut self, zone: &mut Dbm, failure_budget: usize) -> usize {
         let mut absorbed = 0;
         let mut budget = failure_budget;
@@ -276,7 +133,6 @@ impl Federation {
         }
         absorbed
     }
-
 
     /// Intersects every member zone with a constraint, dropping emptied zones.
     pub fn constrain(&mut self, c: &Constraint) -> &mut Self {
@@ -382,65 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn includes_zone_distinguishes_member_union_and_uncovered() {
-        use crate::ZoneCoverage;
-        let mut f = Federation::empty(1);
-        f.add(zone_between(0, 2));
-        f.add(zone_between(5, 7));
-        // Covered by a single member: the fast path.
-        assert_eq!(f.coverage_of(&zone_between(1, 2)), ZoneCoverage::Member);
-        assert!(f.includes_zone(&zone_between(1, 2)));
-        // [1,6] pokes into the gap (2,5): not covered even by the union.
-        assert_eq!(f.coverage_of(&zone_between(1, 6)), ZoneCoverage::NotCovered);
-        assert!(!f.includes_zone(&zone_between(1, 6)));
-        // Overlapping members [0,4] ∪ [3,7]: [1,6] is covered only by the
-        // union — the case convex single-zone subsumption can never detect.
-        let mut g = Federation::empty(1);
-        g.add(zone_between(0, 4));
-        g.add(zone_between(3, 7));
-        assert_eq!(g.coverage_of(&zone_between(1, 6)), ZoneCoverage::Union);
-        assert!(g.includes_zone(&zone_between(1, 6)));
-        // The empty zone is covered by anything.
-        assert!(g.includes_zone(&Dbm::empty(1)));
-    }
-
-    #[test]
-    fn subtract_zone_is_set_difference() {
-        let mut f = Federation::empty(1);
-        f.add(zone_between(0, 4));
-        f.add(zone_between(6, 9));
-        let d = f.subtract_zone(&zone_between(3, 7));
-        for v in 0..=10i64 {
-            let expected = f.contains_point(&[0, v]) && !(3..=7).contains(&v);
-            assert_eq!(d.contains_point(&[0, v]), expected, "point {v}");
-        }
-        // Subtracting the empty zone is the identity on the denoted set.
-        let id = f.subtract_zone(&Dbm::empty(1));
-        for v in 0..=10i64 {
-            assert_eq!(id.contains_point(&[0, v]), f.contains_point(&[0, v]));
-        }
-    }
-
-    #[test]
-    fn reduce_drops_union_covered_members_only() {
-        let mut f = Federation::empty(1);
-        f.add(zone_between(0, 4));
-        f.add(zone_between(3, 7));
-        // [2,6] is covered by [0,4] ∪ [3,7] but by neither alone, so plain
-        // `add` keeps it; `reduce` drops it again.
-        assert!(f.add(zone_between(2, 6)));
-        assert_eq!(f.size(), 3);
-        assert_eq!(f.reduce(), 1);
-        assert_eq!(f.size(), 2);
-        for v in 0..=8i64 {
-            assert_eq!(f.contains_point(&[0, v]), (0..=7).contains(&v), "point {v}");
-        }
-        // Nothing else is droppable: a second reduce is a no-op.
-        assert_eq!(f.reduce(), 0);
-        assert_eq!(f.size(), 2);
-    }
-
-    #[test]
     fn absorb_convex_cascades_and_respects_exactness() {
         let mut f = Federation::empty(1);
         f.add(zone_between(0, 1));
@@ -453,7 +250,6 @@ mod tests {
         assert_eq!(f.size(), 1);
         assert_eq!(zone.relation(&zone_between(0, 3)), Relation::Equal);
     }
-
 
     #[test]
     fn constrain_drops_emptied_members() {

@@ -736,6 +736,11 @@ impl Dbm {
         if other.empty {
             return Some(self.clone());
         }
+        // Most attempts on the explorer's hot path fail, and almost all of
+        // them on the first piece: reject those before cloning the hull.
+        if self.first_merge_piece_escapes(other) {
+            return None;
+        }
         let hull = self.convex_hull(other);
         // Fused subtraction + coverage check with early exit: split off the
         // parts of the hull beyond each of `self`'s facets and require each
@@ -746,6 +751,35 @@ impl Dbm {
         } else {
             None
         }
+    }
+
+    /// `true` iff the first piece `hull.split_off_difference(self, ..)` emits
+    /// is not inside `other` (`hull` the convex hull of both operands) —
+    /// exactly when [`Dbm::try_merge`]'s check fails on that piece.
+    /// Allocation-free: the piece is the canonical hull cut by one
+    /// constraint `xj − xi ≺ c`, so its canonical entries are
+    /// `min(h[k][l], h[k][j] + c + h[i][l])` over `h = max(self, other)`.
+    /// `false` decides nothing.  Both operands must be non-empty.
+    fn first_merge_piece_escapes(&self, other: &Dbm) -> bool {
+        assert_eq!(self.dim, other.dim, "dimension mismatch");
+        let n = self.dim;
+        let h = |k: usize, l: usize| self.m[k * n + l].max(other.m[k * n + l]);
+        // The first facet of `self` the hull exceeds is the first cut.
+        let Some((i, j)) = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .find(|&(i, j)| {
+                let facet = self.at(i, j);
+                i != j && !facet.is_infinity() && h(i, j) > facet
+            })
+        else {
+            return false;
+        };
+        // The hull exceeds the facet at (i, j), so the piece is non-empty.
+        let cut = self.at(i, j).negated();
+        (0..n).any(|k| {
+            let via_kj = h(k, j) + cut;
+            (0..n).any(|l| h(k, l).min(via_kj + h(i, l)) > other.at(k, l))
+        })
     }
 
     /// Element-wise intersection of two zones over the same clocks.

@@ -1,22 +1,20 @@
-//! Property-based tests for the federation-coverage machinery behind the
-//! checker's federation state store (`Federation::{includes_zone, coverage_of,
-//! subtract_zone, reduce, absorb_convex}`).
+//! Property-based tests for the federation operations behind the checker's
+//! federation state store (`Federation::{add_merging, absorb_convex}`).
 //!
-//! Coverage must be *exact*: a point of the candidate zone is in the union of
-//! the stored zones iff the candidate is accepted as covered — an unsound
-//! accept would silently drop reachable states from the exploration, an
-//! unsound reject merely stores too much.  `reduce` and `absorb_convex`
-//! compact the stored representation and must preserve the denoted set.
+//! Both must be *exact*: a rejected newcomer lies inside a single member,
+//! and eviction and merging compact the stored representation without
+//! adding or losing a valuation — an unsound step would silently drop
+//! reachable states from the exploration or explore unreachable ones.
 
 use proptest::prelude::*;
-use tempo_dbm::{Bound, Clock, Dbm, Federation, ZoneCoverage};
+use tempo_dbm::{Bound, Clock, Dbm, Federation, Relation};
 
 const NUM_CLOCKS: usize = 2;
 
 /// One symbolic operation applied while generating a random zone (same
 /// op-sequence generator as `proptests.rs`, with smaller constants so that
-/// federations of a few zones overlap often enough to exercise the union
-/// coverage path).
+/// federations of a few zones overlap, include and merge with each other
+/// often).
 #[derive(Clone, Debug)]
 enum Op {
     Up,
@@ -97,96 +95,44 @@ fn valuation() -> impl Strategy<Value = Vec<i64>> {
     })
 }
 
-/// The candidate minus every member, computed with a plain `Dbm::subtract`
-/// fold (no fast paths) — the independent reference for the union-coverage
-/// verdict.  `Dbm::subtract` itself is proven to be exact set difference by
-/// `reduction_props.rs`.  The second component is `true` when the piece
-/// count stayed within the implementation's internal budget (512): only then
-/// is `coverage_of` specified to be exact — beyond it, it may conservatively
-/// answer `NotCovered`.
-fn reference_remainder(zone: &Dbm, f: &Federation) -> (Vec<Dbm>, bool) {
-    if zone.is_empty() {
-        return (Vec::new(), true);
-    }
-    let mut within_budget = true;
-    let mut remainder = vec![zone.clone()];
-    for member in f.iter() {
-        remainder = remainder.iter().flat_map(|p| p.subtract(member)).collect();
-        if remainder.len() > 512 {
-            within_budget = false;
-        }
-    }
-    (remainder, within_budget)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Coverage is exact: `includes_zone` accepts iff subtracting every
-    /// member from the candidate leaves nothing (as long as the subtraction
-    /// stays within the documented piece budget — beyond it, only rejection
-    /// is allowed), and an accepted candidate never contains a point outside
-    /// the union.
+    /// `add_merging` rejects exactly the zones a single member includes
+    /// (changing nothing), and otherwise stores the (possibly grown) zone
+    /// with every count accounted for, preserving federation ∪ candidate at
+    /// every sampled point and keeping the members an inclusion antichain.
     #[test]
-    fn includes_zone_is_exact_union_coverage(f in random_federation(), z in random_zone(),
-                                             v in valuation()) {
-        let accepted = f.includes_zone(&z);
-        let (remainder, within_budget) = reference_remainder(&z, &f);
-        if within_budget {
-            prop_assert_eq!(accepted, remainder.is_empty());
-        } else if accepted {
-            // Acceptance must be sound even when the budget was exceeded.
-            prop_assert!(remainder.is_empty());
-        }
-        if accepted && z.contains_point(&v) {
-            prop_assert!(f.contains_point(&v), "accepted candidate leaks point {:?}", v);
-        }
-    }
-
-    /// The three-way classification is consistent: `Member` iff some single
-    /// member includes the candidate, `Union` only when the union covers it
-    /// but no single member does.
-    #[test]
-    fn coverage_of_classification_is_consistent(f in random_federation(), z in random_zone()) {
-        let single = !z.is_empty() && f.iter().any(|m| m.includes(&z));
-        match f.coverage_of(&z) {
-            ZoneCoverage::Member => prop_assert!(z.is_empty() || single),
-            ZoneCoverage::Union => {
-                prop_assert!(!single);
-                prop_assert!(reference_remainder(&z, &f).0.is_empty());
+    fn add_merging_is_exact_member_inclusion(f in random_federation(), z in random_zone(),
+                                             budget in 0usize..4, v in valuation()) {
+        let before = f.contains_point(&v) || z.contains_point(&v);
+        let included = z.is_empty() || f.iter().any(|m| m.includes(&z));
+        let mut g = f.clone();
+        let mut zone = z.clone();
+        match g.add_merging(&mut zone, budget) {
+            None => {
+                prop_assert!(included);
+                prop_assert_eq!(&g, &f);
             }
-            ZoneCoverage::NotCovered => {
-                prop_assert!(!single);
-                let (remainder, within_budget) = reference_remainder(&z, &f);
-                if within_budget {
-                    prop_assert!(!remainder.is_empty());
+            Some((evicted, absorbed)) => {
+                prop_assert!(!included);
+                prop_assert_eq!(g.size() + evicted + absorbed, f.size() + 1);
+                prop_assert!(g.iter().any(|m| m == &zone));
+                prop_assert!(zone.includes(&z));
+                if budget == 0 {
+                    prop_assert_eq!(absorbed, 0);
+                    prop_assert_eq!(zone.relation(&z), Relation::Equal);
                 }
             }
         }
-    }
-
-    /// `subtract_zone` is exact set difference at every sampled point.
-    #[test]
-    fn subtract_zone_is_set_difference(f in random_federation(), z in random_zone(),
-                                       v in valuation()) {
-        let d = f.subtract_zone(&z);
-        prop_assert_eq!(
-            d.contains_point(&v),
-            f.contains_point(&v) && !z.contains_point(&v)
-        );
-    }
-
-    /// `reduce` preserves the denoted set, never grows the federation, and a
-    /// second application finds nothing more to drop.
-    #[test]
-    fn reduce_preserves_the_denoted_set(f in random_federation(), v in valuation()) {
-        let mut r = f.clone();
-        let dropped = r.reduce();
-        prop_assert_eq!(r.size() + dropped, f.size());
-        prop_assert_eq!(r.contains_point(&v), f.contains_point(&v));
-        // And every remaining member is genuinely needed.
-        let mut again = r.clone();
-        prop_assert_eq!(again.reduce(), 0);
+        prop_assert_eq!(g.contains_point(&v), before);
+        if budget == 0 {
+            for (i, a) in g.iter().enumerate() {
+                for (j, b) in g.iter().enumerate() {
+                    prop_assert!(i == j || !a.includes(b), "member {} includes member {}", i, j);
+                }
+            }
+        }
     }
 
     /// `absorb_convex` preserves the denoted set of federation ∪ candidate.

@@ -74,6 +74,66 @@ fn random_zone() -> impl Strategy<Value = Dbm> {
     })
 }
 
+/// `a` with its facet `xi − xj ≺ c` moved outward by `push`, then cut back
+/// to `xi − xj ≻ c + shift` (`≻` strict or not): when the two overlap or
+/// touch across the old facet, their union is exactly the moved zone —
+/// convex, and `try_merge` must accept the pair.  Otherwise a gap, possibly
+/// a single hyperplane, may open.  The flag is `true` when the pair must
+/// merge.
+fn facet_moved(
+    a: Dbm,
+    (i, j): (u32, u32),
+    push: i64,
+    shift: i64,
+    strict_cut: bool,
+) -> (Dbm, Dbm, bool) {
+    let facet = a.get(Clock(i), Clock(j));
+    if a.is_empty() || i == j || facet.is_infinity() {
+        return (a.clone(), a, true);
+    }
+    let c = facet.constant();
+    let mut moved_facet = Bound::new(c + push, facet.is_strict());
+    if i == 0 {
+        // A lower bound: keep the clock non-negative.
+        moved_facet = moved_facet.min(Bound::LE_ZERO);
+    }
+    let mut b = a.clone();
+    b.set_raw(Clock(i), Clock(j), moved_facet);
+    b.close();
+    b.constrain(Clock(j), Clock(i), Bound::new(-(c + shift), strict_cut));
+    let covers_the_facet = shift < 0 || (shift == 0 && !(facet.is_strict() && strict_cut));
+    (a, b, covers_the_facet)
+}
+
+/// A full-dimensional zone: a box with random bounds and strictness, then
+/// one random operation (often a diagonal cut) — unlike most op-sequence
+/// zones, every facet of it bounds something.
+fn random_box() -> impl Strategy<Value = Dbm> {
+    let side = (0i64..20, 1i64..20, any::<bool>());
+    (proptest::collection::vec(side, NUM_CLOCKS), op_strategy()).prop_map(|(sides, op)| {
+        let mut z = Dbm::universe(NUM_CLOCKS);
+        for (k, &(lo, width, strict)) in sides.iter().enumerate() {
+            let x = Clock(k as u32 + 1);
+            z.constrain(Clock::REF, x, Bound::new(-lo, strict));
+            z.constrain(x, Clock::REF, Bound::new(lo + width, strict));
+        }
+        apply(&mut z, &op);
+        z
+    })
+}
+
+/// Operand pairs for `try_merge`: independent random zones, which almost
+/// never merge, and [`facet_moved`] boxes, which mostly do.
+fn merge_pair() -> impl Strategy<Value = (Dbm, Dbm, bool)> {
+    let index = 0..=(NUM_CLOCKS as u32);
+    prop_oneof![
+        1 => (random_zone(), random_zone()).prop_map(|(a, b)| (a, b, false)),
+        3 => (random_box(), (index.clone(), index), (1i64..6, -2i64..2, any::<bool>())).prop_map(
+            |(a, facet, (push, shift, strict))| facet_moved(a, facet, push, shift, strict),
+        ),
+    ]
+}
+
 /// An activity mask over the reference clock + NUM_CLOCKS real clocks.
 fn active_mask() -> impl Strategy<Value = Vec<bool>> {
     proptest::collection::vec(any::<bool>(), NUM_CLOCKS + 1)
@@ -211,12 +271,14 @@ proptest! {
     /// `try_merge` is exact: when it succeeds the hull contains precisely the
     /// union of the operands; when it fails the hull genuinely adds points
     /// (soundness of the convexity check is what the checker's exact zone
-    /// merging relies on).
+    /// merging relies on), and pairs built to merge always do.
     #[test]
-    fn try_merge_is_exact_union(a in random_zone(), b in random_zone(),
+    fn try_merge_is_exact_union(pair in merge_pair(),
                                 v in proptest::collection::vec(0i64..60, NUM_CLOCKS)) {
+        let (a, b, must_merge) = pair;
         let mut point = v.clone();
         point.insert(0, 0);
+        prop_assert!(!must_merge || a.try_merge(&b).is_some(), "{} and {} must merge", a, b);
         let hull = a.convex_hull(&b);
         prop_assert!(hull.includes(&a) && hull.includes(&b));
         match a.try_merge(&b) {

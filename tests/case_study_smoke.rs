@@ -87,7 +87,7 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
     // cap with comfortable margin.  The ceilings date from the flat store
     // (then measured at po 169, pno 1 100, sp 677, pj 61 270, bur 718 160
     // stored states); the default federation store stores po 169, pno 502,
-    // sp 474, pj 4 864 and bur 38 293.
+    // sp 474, pj 5 075 and bur 39 805.
     let ceilings = [5_000usize, 20_000, 20_000, 120_000, 900_000];
     for ((column, report), ceiling) in values.iter().zip(ceilings) {
         assert!(
@@ -101,9 +101,9 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
 /// The PR 4 acceptance criterion: the `bur` column — which PR 3's flat store
 /// completed only at 718,160 stored states, and which before that had to be
 /// truncated at the 400k cap with a mere lower bound — completes under the
-/// old 400k truncation line with the federation store.  Union-coverage
-/// subsumption plus the store's stale-state skipping (queued zones absorbed
-/// into a stored hull are never expanded) land it around 38k stored states,
+/// old 400k truncation line with the federation store.  Exact merging plus
+/// the store's stale-state skipping (queued zones absorbed into a stored hull
+/// are never expanded) land it around 40k stored states,
 /// an order of magnitude below the ~486k intrinsic zone graph; the tighter
 /// 60k ceiling is the regression guard.  The WCRT must equal the flat-store
 /// value of the column (cross-checked against the `pj` column, which shares
@@ -136,10 +136,6 @@ fn bur_column_completes_under_400k_with_the_federation_store() {
         "bur stored {} states — regression over the measured ~38k",
         report.stats.stored_cumulative
     );
-    assert!(
-        report.stats.zones_subsumed_by_union > 0,
-        "union-coverage subsumption never fired on bur"
-    );
     assert!(report.stats.zones_evicted > 0);
     // Exactness cross-check without re-running the (slow) flat bur column:
     // on the quick workload the pj column has the same WCRT, and the pj
@@ -153,6 +149,24 @@ fn bur_column_completes_under_400k_with_the_federation_store() {
     assert_eq!(report.wcrt, pj_report.wcrt, "bur and pj disagree on the quick workload");
     let wcrt = report.wcrt.expect("exact WCRT");
     assert!(wcrt < TimeValue::millis(200), "deadline violated: {wcrt}");
+}
+
+/// The two slowest cells of quick Table 1 — bur HandleTMC with ChangeVolume
+/// and with AddressLookup, whose burst TMC stream queues behind the user
+/// chains — complete exactly under the default store, at the values
+/// `table1 --quick` prints.
+#[test]
+fn bur_handle_tmc_cells_are_exact_under_the_default_store() {
+    for (requirement, combo, expected_ms) in [
+        ("HandleTMC (+ ChangeVolume)", ScenarioCombo::ChangeVolumeWithTmc, "390.288"),
+        ("HandleTMC (+ AddressLookup)", ScenarioCombo::AddressLookupWithTmc, "417.344"),
+    ] {
+        let model = radio_navigation(combo, EventModelColumn::Burst, &quick_params());
+        let report = Session::new(&model, quick_cfg()).unwrap().wcrt(requirement).unwrap();
+        assert!(!report.stats.truncated, "{requirement}: truncated");
+        let ms = report.wcrt_ms().expect("exact WCRT");
+        assert_eq!(format!("{ms:.3}"), expected_ms, "{requirement}");
+    }
 }
 
 #[test]

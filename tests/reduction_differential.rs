@@ -13,8 +13,8 @@
 //!
 //! Since PR 4 the same obligation covers the state-*storage* subsystem
 //! (`SearchOptions::storage`): the plain flat antichain store (the reference
-//! oracle), the default federation store with union-coverage subsumption and
-//! exact convex merging, and the sharded concurrent store of the parallel
+//! oracle), the default federation store with eviction and exact convex
+//! merging, and the sharded concurrent store of the parallel
 //! checker must agree on every WCRT, lower bound, deadline verdict and clock
 //! supremum across the whole corpus and all fixtures (see
 //! `storage_backends_agree_*` below).
@@ -225,7 +225,7 @@ fn burst_fixture_matches() {
 /// The storage differential over the pseudo-random corpus: flat, federation
 /// and sharded (parallel, both per-shard backends) stores must produce
 /// identical WCRTs, lower bounds and deadline verdicts — and the federation
-/// store's union-coverage subsumption and exact convex merging must each
+/// store's exact convex merging and stale-state skipping must each
 /// actually fire somewhere (fewer stored states than flat at least once, a
 /// merged zone at least once), or the differential is vacuous.  The plain
 /// flat store never merges, so agreement with it is the exactness proof of

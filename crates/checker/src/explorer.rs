@@ -3,7 +3,7 @@
 use crate::error::CheckError;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::state::SymState;
-use crate::store::{self, Insert, StorageKind};
+use crate::store::{self, Insert, Member, StorageKind};
 use crate::successor::{ActionLabel, QuerySeed, SuccessorGen};
 use crate::target::TargetSpec;
 use rand::rngs::StdRng;
@@ -135,30 +135,40 @@ pub struct SearchOptions {
     pub order: SearchOrder,
     /// RNG seed used by [`SearchOrder::RandomDfs`].
     pub seed: u64,
-    /// Whether to apply maximum-bounds extrapolation (disable only for
-    /// debugging; exploration may then diverge).
+    /// Whether to apply the location-dependent LU finiteness abstraction:
+    /// aLU subsumption on unextrapolated zones under the default federation
+    /// store, ExtraLU extrapolation of every zone under
+    /// [`StorageKind::Flat`].  Disable only for debugging: subsumption is
+    /// then plain inclusion and the exploration may diverge.
     pub extrapolate: bool,
     /// Whether to apply active-clock reduction: clocks that a static
     /// inactivity analysis proves dead in a discrete state (reset before
     /// their next read in every guard, invariant and query atom) are reset to
     /// a canonical value before the state is stored, so states differing only
-    /// in dead-clock valuations merge in the passed list.  Verdict- and
+    /// in dead-clock valuations compare equal.  Verdict- and
     /// supremum-preserving (see `tempo_ta::activity` and
-    /// `tests/reduction_differential.rs`); disable only to measure its effect
-    /// or to debug.
+    /// `tests/reduction_differential.rs`).  Under the flat store this is the
+    /// only dead-clock abstraction and shrinks the stored states; under the
+    /// default store aLU subsumption already ignores dead clocks, and the
+    /// pinning keeps exact merging effective (without it the paper-parameter
+    /// pno K2A cell explores 47,003 states instead of 13,509).  Disable only
+    /// to measure its effect or to debug.
     pub active_clock_reduction: bool,
     /// The passed/waiting storage discipline (see [`StorageKind`]).  The
-    /// default federation store discards a zone some stored zone includes,
-    /// evicts the stored zones it strictly includes and, in untargeted
-    /// searches (supremum queries, [`Explorer::explore`]), replaces a new
-    /// zone and the stored zones it forms an exactly convex union with by
-    /// their hull ([`tempo_dbm::Dbm::try_merge`]).  Unlike UPPAAL's `-C`
-    /// convex-hull over-approximation this never adds valuations, so
-    /// verdicts and suprema are preserved exactly.  Targeted reachability
-    /// searches never merge, so every diagnostic trace step is a computed
-    /// successor of the step before it.  The plain single-zone-inclusion
-    /// [`StorageKind::Flat`] store is the reference oracle of the
-    /// differential harnesses.
+    /// default federation store keeps zones unextrapolated and subsumes by
+    /// aLU simulation against the discrete state's LU bounds
+    /// ([`tempo_dbm::Dbm::alu_included_in`]): it discards a zone some stored
+    /// zone simulates, evicts the stored zones it simulates and, in
+    /// untargeted searches (supremum queries, [`Explorer::explore`]),
+    /// replaces a new zone and the stored zones it forms an exactly convex
+    /// union with by their hull ([`tempo_dbm::Dbm::try_merge`]).  Unlike
+    /// UPPAAL's `-C` convex-hull over-approximation this never adds
+    /// valuations, so verdicts and suprema are preserved exactly.  Targeted
+    /// reachability searches never merge, so every diagnostic trace step is
+    /// a computed successor of the step before it.  The
+    /// [`StorageKind::Flat`] store — ExtraLU extrapolation plus plain
+    /// single-zone inclusion, an independent abstraction — is the reference
+    /// oracle of the differential harnesses.
     pub storage: StorageKind,
     /// Abort the exploration after this many stored states.
     pub max_states: Option<usize>,
@@ -276,6 +286,8 @@ pub struct ReachReport {
 
 struct Node {
     state: SymState,
+    /// The store's handle of `state.zone`.
+    member: Member,
     parent: Option<usize>,
     action: Option<ActionLabel>,
 }
@@ -345,9 +357,14 @@ impl<'s> Explorer<'s> {
             return Ok((None, false, stats));
         }
         let mut passed = store::new_store(self.opts.storage, init.zone.num_clocks());
-        passed.insert(&init.discrete, &mut init.zone, false);
+        let lu = gen.state_consts(&init.discrete);
+        let outcome = passed.insert(&init.discrete, &mut init.zone, lu.alu_bounds(), false);
+        let Insert::Inserted { member, .. } = outcome else {
+            unreachable!("an empty store subsumes nothing");
+        };
         nodes.push(Node {
             state: init,
+            member,
             parent: None,
             action: None,
         });
@@ -401,14 +418,14 @@ impl<'s> Explorer<'s> {
             // A queued state whose zone was since evicted or absorbed into a
             // hull is covered by a stored zone whose own expansion subsumes
             // it: skip it (the flat store keeps every queued state current).
-            if !passed.is_current(&nodes[idx].state.discrete, &nodes[idx].state.zone) {
+            if !passed.is_current(nodes[idx].member) {
                 continue;
             }
-            let state = nodes[idx].state.clone();
+            let state = &nodes[idx].state;
             stats.states_explored += 1;
-            visit(&state);
+            visit(state);
             if let Some(t) = target {
-                if t.matches(&state)? {
+                if t.matches(state)? {
                     found = Some(idx);
                     break;
                 }
@@ -421,7 +438,7 @@ impl<'s> Explorer<'s> {
             }
             let mut succs = {
                 let _span = tempo_obs::span!("explore.successor_gen");
-                gen.successors(&state)?
+                gen.successors(state)?
             };
             stats.transitions += succs.len();
             if self.opts.order == SearchOrder::RandomDfs {
@@ -443,16 +460,23 @@ impl<'s> Explorer<'s> {
                         break;
                     }
                 }
-                match passed.insert(&succ.discrete, &mut succ.zone, merging) {
-                    Insert::Subsumed => continue,
-                    Insert::Inserted { evicted, merged } => {
-                        stats.zones_evicted += evicted;
-                        stats.zones_merged += merged;
-                    }
-                }
+                let lu = gen.state_consts(&succ.discrete);
+                let outcome =
+                    passed.insert(&succ.discrete, &mut succ.zone, lu.alu_bounds(), merging);
+                let Insert::Inserted {
+                    member,
+                    evicted,
+                    merged,
+                } = outcome
+                else {
+                    continue;
+                };
+                stats.zones_evicted += evicted;
+                stats.zones_merged += merged;
                 let node_idx = nodes.len();
                 nodes.push(Node {
                     state: succ,
+                    member,
                     parent: Some(idx),
                     action: Some(action),
                 });
@@ -767,22 +791,29 @@ mod tests {
         sb.build()
     }
 
+    /// The state counts are compared under the flat store, where pinning is
+    /// the only dead-clock abstraction: the default store's aLU subsumption
+    /// already lets dead clocks decide nothing, so there both explorations
+    /// store a single zone.
     #[test]
     fn active_clock_reduction_merges_dead_clock_states() {
         let sys = dead_clock_fragmentation();
-        let on = Explorer::new(&sys, SearchOptions::default()).unwrap();
-        let off = Explorer::new(
-            &sys,
-            SearchOptions {
-                active_clock_reduction: false,
+        let with = |storage: StorageKind, reduction: bool| {
+            let opts = SearchOptions {
+                storage,
+                active_clock_reduction: reduction,
                 ..SearchOptions::default()
-            },
-        )
-        .unwrap();
+            };
+            Explorer::new(&sys, opts).unwrap()
+        };
+        let on = with(StorageKind::Federation, true);
+        let off = with(StorageKind::Federation, false);
         let stats_on = on.explore(|_| {}).unwrap();
         let stats_off = off.explore(|_| {}).unwrap();
         assert!(stats_on.clocks_eliminated > 0, "reduction did not fire");
         assert_eq!(stats_off.clocks_eliminated, 0);
+        let stats_on = with(StorageKind::Flat, true).explore(|_| {}).unwrap();
+        let stats_off = with(StorageKind::Flat, false).explore(|_| {}).unwrap();
         assert!(
             stats_on.stored_cumulative < stats_off.stored_cumulative,
             "reduction should merge states: {} vs {}",

@@ -9,23 +9,25 @@
 //!   internal (τ) edges, binary synchronization, broadcast synchronization,
 //!   urgent channels (no delay while an urgent synchronization is enabled),
 //!   urgent and committed locations,
-//! * a passed/waiting list with zone-inclusion subsumption and
-//!   location-dependent ExtraLU extrapolation guarantees termination; by
-//!   default each discrete state keeps a *federation* of zones that
-//!   discards a newcomer some stored zone includes, evicts the stored zones
-//!   a newcomer strictly includes, and folds neighbouring zones into their
-//!   hull by exact convex merging ([`StorageKind::Federation`]) — exact, and
-//!   the difference between truncation and completion on the burstiest
-//!   case-study columns.  The plain single-zone-inclusion antichain
-//!   ([`StorageKind::Flat`]) stays as the reference oracle the differential
-//!   tests compare against,
+//! * a passed/waiting list with subsumption under the location-dependent LU
+//!   abstraction guarantees termination.  By default each discrete state
+//!   keeps a *federation* of zones that are never extrapolated: it discards
+//!   a newcomer some stored zone LU-simulates (aLU subsumption, decided in
+//!   O(n²) by [`tempo_dbm::Dbm::alu_included_in`]), evicts the stored zones
+//!   a newcomer simulates, and folds neighbouring zones into their hull by
+//!   exact convex merging ([`StorageKind::Federation`]) — exact, and the
+//!   difference between truncation and completion on the burstiest
+//!   case-study columns.  The antichain of ExtraLU-extrapolated zones with
+//!   plain single-zone inclusion ([`StorageKind::Flat`]) stays as the
+//!   reference oracle the differential tests compare against,
 //! * active-clock reduction (on by default, see
 //!   [`SearchOptions::active_clock_reduction`]): clocks a static inactivity
 //!   analysis proves dead in a discrete state are reset to a canonical value
-//!   before storing, so states differing only in dead-clock valuations merge
-//!   — this composes multiplicatively with extrapolation on the architecture
-//!   models, whose observer and environment clocks are dead in most
-//!   locations,
+//!   before storing, so states differing only in dead-clock valuations
+//!   compare equal — under the flat store this composes multiplicatively
+//!   with extrapolation on the architecture models, whose observer and
+//!   environment clocks are dead in most locations; under the default store
+//!   it keeps exact merging effective,
 //! * the search order can be breadth-first, depth-first or randomized
 //!   depth-first (the paper's `df` / `rdf` options used as a "structured
 //!   testing" fallback for very large models).

@@ -30,7 +30,7 @@ use crate::error::CheckError;
 use crate::explorer::{ExplorationStats, Explorer, ReachReport, SearchProgress};
 use crate::fault::{panic_message, FaultSite};
 use crate::state::SymState;
-use crate::store::{Insert, ShardedStore};
+use crate::store::{Insert, Member, ShardedStore};
 use crate::successor::{QuerySeed, SuccessorGen};
 use crate::target::TargetSpec;
 use crate::wcrt::{SupQuery, SupReport};
@@ -142,9 +142,12 @@ impl<'s> Explorer<'s> {
         let passed = ShardedStore::new(opts.storage, shards, init.zone.num_clocks());
         // The injector only seeds the exploration; successors go to the
         // per-worker deques and travel between workers by stealing.
-        let queue: Injector<SymState> = Injector::new();
-        let locals: Vec<Worker<SymState>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<SymState>> = locals.iter().map(|w| w.stealer()).collect();
+        // Queued states travel with the store's handle of their zone.
+        let queue: Injector<(SymState, Member)> = Injector::new();
+        let locals: Vec<Worker<(SymState, Member)>> =
+            (0..workers).map(|_| Worker::new_fifo()).collect();
+        let stealers: Vec<Stealer<(SymState, Member)>> =
+            locals.iter().map(|w| w.stealer()).collect();
         let pending = AtomicUsize::new(0);
         let peak_pending = AtomicUsize::new(1);
         // Shared progress stride: `explored_total` counts expansions across
@@ -164,9 +167,13 @@ impl<'s> Explorer<'s> {
         let idle_workers = AtomicUsize::new(0);
 
         let mut init = init;
-        passed.insert(&init.discrete, &mut init.zone, false);
+        let lu = gen0.state_consts(&init.discrete);
+        let outcome = passed.insert(&init.discrete, &mut init.zone, lu.alu_bounds(), false);
+        let Insert::Inserted { member, .. } = outcome else {
+            unreachable!("an empty store subsumes nothing");
+        };
         pending.fetch_add(1, Ordering::SeqCst);
-        queue.push(init);
+        queue.push((init, member));
 
         let max_states = opts.max_states;
         let truncate_on_limit = opts.truncate_on_limit;
@@ -347,7 +354,7 @@ impl<'s> Explorer<'s> {
                                 }
                                 None
                             });
-                            let state = match next {
+                            let (state, member) = match next {
                                 Some(s) => {
                                     if is_idle {
                                         is_idle = false;
@@ -377,7 +384,7 @@ impl<'s> Explorer<'s> {
                             // Skip states whose zone was evicted or absorbed
                             // since they were queued: a stored zone covers
                             // them, and its own expansion subsumes theirs.
-                            if !passed.is_current(&state.discrete, &state.zone) {
+                            if !passed.is_current(&state.discrete, member) {
                                 pending.fetch_sub(1, Ordering::SeqCst);
                                 continue;
                             }
@@ -428,12 +435,20 @@ impl<'s> Explorer<'s> {
                                                 return Ok(true);
                                             }
                                         }
-                                        match passed.insert(&succ.discrete, &mut succ.zone, merging)
-                                        {
+                                        let lu = gen.state_consts(&succ.discrete);
+                                        let member = match passed.insert(
+                                            &succ.discrete,
+                                            &mut succ.zone,
+                                            lu.alu_bounds(),
+                                            merging,
+                                        ) {
                                             // Aggregate counters live in the store.
                                             Insert::Subsumed => continue,
-                                            Insert::Inserted { .. } => outcome.stored += 1,
-                                        }
+                                            Insert::Inserted { member, .. } => {
+                                                outcome.stored += 1;
+                                                member
+                                            }
+                                        };
                                         if let Some(limit) = max_states {
                                             if passed.live_zones() > limit {
                                                 if truncate_on_limit {
@@ -446,7 +461,7 @@ impl<'s> Explorer<'s> {
                                         }
                                         let now = pending.fetch_add(1, Ordering::SeqCst) + 1;
                                         peak_pending.fetch_max(now, Ordering::Relaxed);
-                                        local.push(succ);
+                                        local.push((succ, member));
                                     }
                                     Ok(false)
                                 }),
@@ -495,7 +510,7 @@ impl<'s> Explorer<'s> {
                                         break;
                                     }
                                     obs_requeues += 1;
-                                    queue.push(state);
+                                    queue.push((state, member));
                                 }
                             }
                         }

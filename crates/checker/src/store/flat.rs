@@ -1,10 +1,11 @@
-//! The flat hash store: per-discrete-state zone antichains with single-zone
-//! inclusion subsumption — the classic UPPAAL passed-list discipline.  It
-//! never merges and never skips a queued state, which makes it the plain
-//! reference oracle the differential harnesses hold the default
-//! [`StorageKind::Federation`](super::StorageKind::Federation) store against.
+//! The flat hash store: per-discrete-state antichains of ExtraLU-extrapolated
+//! zones with single-zone inclusion subsumption — the classic UPPAAL
+//! passed-list discipline.  It never merges and never skips a queued state,
+//! which makes it the plain reference oracle the differential harnesses hold
+//! the default [`StorageKind::Federation`](super::StorageKind::Federation)
+//! store (aLU subsumption on unextrapolated zones) against.
 
-use super::{Insert, StateStore};
+use super::{Insert, Member, StateStore};
 use crate::state::DiscreteState;
 use std::collections::HashMap;
 use tempo_dbm::Dbm;
@@ -32,7 +33,13 @@ impl FlatStore {
 }
 
 impl StateStore for FlatStore {
-    fn insert(&mut self, discrete: &DiscreteState, zone: &mut Dbm, _merge: bool) -> Insert {
+    fn insert(
+        &mut self,
+        discrete: &DiscreteState,
+        zone: &mut Dbm,
+        _lu: (&[i64], &[i64]),
+        _merge: bool,
+    ) -> Insert {
         let id = match self.ids.get(discrete) {
             Some(&id) => id,
             None => {
@@ -56,10 +63,16 @@ impl StateStore for FlatStore {
         if evicted > 0 {
             tempo_obs::counter("store.evicted", evicted as u64);
         }
-        Insert::Inserted { evicted, merged: 0 }
+        // Every queued state stays current (see `is_current`), so one handle
+        // serves for all.
+        Insert::Inserted {
+            member: 0,
+            evicted,
+            merged: 0,
+        }
     }
 
-    fn is_current(&self, _discrete: &DiscreteState, _zone: &Dbm) -> bool {
+    fn is_current(&self, _member: Member) -> bool {
         // The oracle expands every queued state, even if its zone was later
         // evicted.
         true

@@ -6,7 +6,7 @@
 //! states contend only when they collide on a shard — the parallel checker
 //! gets lock-striped access instead of one global passed-list mutex.
 
-use super::{new_store, Insert, StateStore, StorageKind};
+use super::{new_store, Insert, Member, StateStore, StorageKind};
 use crate::state::DiscreteState;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,11 +43,17 @@ impl ShardedStore {
     /// Concurrent insert: locks only the shard owning the discrete state.
     /// Semantics and outcome are those of the wrapped [`StateStore::insert`];
     /// the aggregate counters are updated on the way out.
-    pub(crate) fn insert(&self, discrete: &DiscreteState, zone: &mut Dbm, merge: bool) -> Insert {
+    pub(crate) fn insert(
+        &self,
+        discrete: &DiscreteState,
+        zone: &mut Dbm,
+        lu: (&[i64], &[i64]),
+        merge: bool,
+    ) -> Insert {
         let outcome = self.shards[self.shard_of(discrete)]
             .lock()
-            .insert(discrete, zone, merge);
-        if let Insert::Inserted { evicted, merged } = outcome {
+            .insert(discrete, zone, lu, merge);
+        if let Insert::Inserted { evicted, merged, .. } = outcome {
             // `evicted + merged` zones leave the store, one enters.
             let removed = evicted + merged;
             if removed > 0 {
@@ -61,15 +67,16 @@ impl ShardedStore {
         outcome
     }
 
-    /// Concurrent [`StateStore::is_current`]: membership check under the
-    /// owning shard's lock.  Flat shards answer `true` unconditionally, so
-    /// the oracle discipline skips the lock (and its contention) entirely.
-    pub(crate) fn is_current(&self, discrete: &DiscreteState, zone: &Dbm) -> bool {
+    /// Concurrent [`StateStore::is_current`]: the handle look-up under the
+    /// lock of the shard owning `discrete` (which issued `member`).  Flat
+    /// shards answer `true` unconditionally, so the oracle discipline skips
+    /// the lock (and its contention) entirely.
+    pub(crate) fn is_current(&self, discrete: &DiscreteState, member: Member) -> bool {
         match self.kind {
             StorageKind::Flat => true,
             StorageKind::Federation => self.shards[self.shard_of(discrete)]
                 .lock()
-                .is_current(discrete, zone),
+                .is_current(member),
         }
     }
 

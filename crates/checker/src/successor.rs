@@ -4,6 +4,7 @@
 use crate::error::CheckError;
 use crate::explorer::SearchOptions;
 use crate::state::{DiscreteState, SymState};
+use crate::store::StorageKind;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -110,19 +111,23 @@ pub struct QuerySeed {
 pub struct SuccessorGen<'s> {
     sys: &'s System,
     ranges: Vec<(i64, i64)>,
-    /// Location-dependent LU extrapolation constants (static guard analysis
-    /// with reset-kill propagation), possibly seeded with query constants at
-    /// the query's target locations.  Two properties make this the decisive
+    /// Location-dependent LU constants (static guard analysis with
+    /// reset-kill propagation), possibly seeded with query constants at the
+    /// query's target locations.  They define the finiteness abstraction: the
+    /// default federation store subsumes by aLU simulation against them
+    /// ([`StateConsts::alu_bounds`]), the flat reference store extrapolates
+    /// every successor with ExtraLU.  Two properties make this the decisive
     /// optimization for the architecture models:
     ///
     /// * LU rather than plain maximum bounds — sporadic/burst environment
     ///   clocks only ever appear in lower-bound guards, so their upper
-    ///   constant is 0 and ExtraLU collapses the otherwise huge fan-out of
-    ///   "arrival phase" zones (e.g. against free-running TDMA slot gates);
+    ///   constant is 0 and the abstraction collapses the otherwise huge
+    ///   fan-out of "arrival phase" zones (e.g. against free-running TDMA
+    ///   slot gates);
     /// * location dependence — the measuring observer's clock is reset when a
     ///   measurement is armed and never read after the response is seen, so
     ///   outside the armed window its constant is 0 and the clock is
-    ///   extrapolated away instead of fragmenting the pre-arming and
+    ///   abstracted away instead of fragmenting the pre-arming and
     ///   post-measurement state space.
     ///
     /// Sound because the constraint language is diagonal-free.
@@ -141,7 +146,8 @@ pub struct SuccessorGen<'s> {
     /// Merged per-state constant vectors per discrete location vector.  The
     /// number of distinct location vectors is tiny compared to the number of
     /// symbolic states, so memoizing the merge keeps the per-successor
-    /// extrapolation and reduction allocation-free on the hot path.
+    /// reduction, extrapolation and subsumption allocation-free on the hot
+    /// path.
     merged_cache: std::cell::RefCell<HashMap<Vec<tempo_ta::LocId>, Rc<StateConsts>>>,
     /// Per query, per location atom, the set of locations of that automaton
     /// from which the atom's location is reachable (location-graph
@@ -153,7 +159,12 @@ pub struct SuccessorGen<'s> {
     /// to the WCRT suprema and is not explored.  `None` disables pruning
     /// (some query has no location atoms and can match anywhere).
     query_reach: Option<Vec<QueryReach>>,
+    /// Extrapolate every computed zone with ExtraLU: only under the flat
+    /// reference store, whose plain inclusion needs it to terminate.
     extrapolate: bool,
+    /// Hand the stores finite aLU bounds ([`StateConsts::alu_bounds`]);
+    /// `false` gives unbounded ones, i.e. plain inclusion.
+    abstract_subsumption: bool,
     reduce: bool,
     /// Running count of dead-clock canonicalizations applied (one per dead
     /// clock per computed symbolic state); reported as
@@ -162,15 +173,28 @@ pub struct SuccessorGen<'s> {
 }
 
 /// Merged per-clock data for one discrete location vector: the (lower, upper)
-/// extrapolation constants and the active-clock flags (element-wise maximum /
-/// union over every automaton's current location).
-struct StateConsts {
+/// LU constants and the active-clock flags (element-wise maximum / union over
+/// every automaton's current location).
+pub(crate) struct StateConsts {
     lower: Vec<i64>,
     upper: Vec<i64>,
     /// Indexed by DBM clock index; entry 0 unused.
     active: Vec<bool>,
     /// Number of `false` entries in `active` (excluding entry 0).
     num_dead: usize,
+    /// `lower`/`upper` with every dead clock at `i64::MIN` (`−∞`: a clock
+    /// that is reset before it is next read never decides a subsumption),
+    /// or empty (unbounded: plain inclusion) when the abstraction is off.
+    alu_lower: Vec<i64>,
+    alu_upper: Vec<i64>,
+}
+
+impl StateConsts {
+    /// The LU bounds the store subsumes by at this location vector, in the
+    /// form [`tempo_dbm::Dbm::alu_included_in`] takes.
+    pub(crate) fn alu_bounds(&self) -> (&[i64], &[i64]) {
+        (&self.alu_lower, &self.alu_upper)
+    }
 }
 
 impl<'s> SuccessorGen<'s> {
@@ -229,7 +253,6 @@ impl<'s> SuccessorGen<'s> {
         queries: &[QuerySeed],
     ) -> Result<SuccessorGen<'s>, CheckError> {
         let global_clock_constants: &[(tempo_ta::ClockId, i64)] = &opts.extra_clock_constants;
-        let extrapolate = opts.extrapolate;
         sys.validate()?;
         // Restriction checks that keep the semantics implementable with plain
         // zones: no clock guards on urgent synchronizations or broadcast
@@ -322,7 +345,8 @@ impl<'s> SuccessorGen<'s> {
             global_lower,
             global_upper,
             merged_cache: std::cell::RefCell::new(HashMap::new()),
-            extrapolate,
+            extrapolate: opts.extrapolate && opts.storage == StorageKind::Flat,
+            abstract_subsumption: opts.extrapolate,
             reduce: opts.active_clock_reduction,
             eliminated: Cell::new(0),
         })
@@ -338,8 +362,9 @@ impl<'s> SuccessorGen<'s> {
     /// element-wise maximum of the global query constants and every
     /// automaton's location-dependent LU constants, plus the union of the
     /// per-location active-clock sets (a clock stays live as long as *any*
-    /// automaton may still observe it).  Memoized per location vector.
-    fn state_consts(&self, discrete: &DiscreteState) -> Rc<StateConsts> {
+    /// automaton may still observe it).  Memoized per location vector; the
+    /// explorers hand it to the store with every insertion.
+    pub(crate) fn state_consts(&self, discrete: &DiscreteState) -> Rc<StateConsts> {
         if let Some(cached) = self.merged_cache.borrow().get(discrete.locations()) {
             return Rc::clone(cached);
         }
@@ -362,7 +387,16 @@ impl<'s> SuccessorGen<'s> {
             }
         }
         let num_dead = active.iter().skip(1).filter(|a| !**a).count();
+        let alu = |consts: &[i64]| -> Vec<i64> {
+            if !self.abstract_subsumption {
+                return Vec::new();
+            }
+            let dead_or = |(&c, &live): (&i64, &bool)| if live { c } else { i64::MIN };
+            consts.iter().zip(&active).map(dead_or).collect()
+        };
         let merged = Rc::new(StateConsts {
+            alu_lower: alu(&lower),
+            alu_upper: alu(&upper),
             lower,
             upper,
             active,
@@ -480,7 +514,7 @@ impl<'s> SuccessorGen<'s> {
     }
 
     /// The initial symbolic state (reduced, delay-closed if permitted,
-    /// extrapolated).
+    /// extrapolated under the flat store).
     pub fn initial_state(&self) -> Result<SymState, CheckError> {
         let discrete = DiscreteState::initial(self.sys);
         let consts = self.state_consts(&discrete);
@@ -563,7 +597,8 @@ impl<'s> SuccessorGen<'s> {
         }
         // Steps 5–8 are the close/extrapolate phase: everything from here on
         // re-canonicalizes the zone (reduction, invariants, delay closure,
-        // ExtraLU widening), as opposed to the guard/reset arithmetic above.
+        // and under the flat store ExtraLU widening), as opposed to the
+        // guard/reset arithmetic above.
         // The span nests inside the explorer's `explore.successor_gen`, so a
         // trace shows how much of successor generation is canonicalization.
         let _span = tempo_obs::span!("explore.close_extrapolate");
@@ -586,7 +621,8 @@ impl<'s> SuccessorGen<'s> {
                 return Ok(None);
             }
         }
-        // 8. extrapolation.
+        // 8. extrapolation (flat store only; the federation store subsumes
+        //    by aLU simulation on unextrapolated zones instead).
         self.extrapolate_zone(&mut zone, &consts);
         Ok(Some((new_discrete, zone)))
     }

@@ -59,6 +59,17 @@ pub enum ArchError {
         /// Description of the overflowing variable.
         detail: String,
     },
+    /// The preemption-debt counter `D_<resource>` of a preemptive resource
+    /// (the remaining execution time owed to preempted jobs, Fig. 5) left the
+    /// range the generator declared for it, `max_low + cap·max_high` ticks.
+    /// Not a queue overflow: either that range is not a sound bound for the
+    /// model's arrival patterns, or the resource is overloaded.
+    PreemptionDebtOverflow {
+        /// The preemptive resource.
+        resource: String,
+        /// Description of the overflowing variable.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ArchError {
@@ -77,6 +88,12 @@ impl fmt::Display for ArchError {
                 "an event queue overflowed ({detail}); increase the queue capacity or check \
                  whether the resource is overloaded"
             ),
+            ArchError::PreemptionDebtOverflow { resource, detail } => write!(
+                f,
+                "the preemption debt of `{resource}` left its declared range ({detail}); \
+                 the generator's bound on the time owed to preempted jobs does not hold \
+                 for this model, or `{resource}` is overloaded"
+            ),
         }
     }
 }
@@ -92,9 +109,19 @@ impl From<ModelError> for ArchError {
 impl From<CheckError> for ArchError {
     fn from(e: CheckError) -> Self {
         match e {
-            CheckError::VarOutOfRange { name, value, max, .. } => ArchError::QueueOverflow {
-                detail: format!("variable {name} reached {value}, max {max}"),
-            },
+            CheckError::VarOutOfRange { name, value, max, .. } => {
+                let detail = format!("variable {name} reached {value}, max {max}");
+                // The generator names each preemptive resource's debt
+                // counter `D_<resource>`; every other bounded variable is a
+                // queue or backlog counter.
+                match name.strip_prefix("D_") {
+                    Some(resource) => ArchError::PreemptionDebtOverflow {
+                        resource: resource.to_string(),
+                        detail,
+                    },
+                    None => ArchError::QueueOverflow { detail },
+                }
+            }
             e => ArchError::Check(e),
         }
     }

@@ -475,6 +475,14 @@ pub enum EngineError {
     },
     /// A resource is overloaded; no finite answer exists.
     Overload(String),
+    /// A preemptive resource's preemption debt left the range the generator
+    /// declared for it (see [`ArchError::PreemptionDebtOverflow`]).
+    PreemptionDebtOverflow {
+        /// The preemptive resource.
+        resource: String,
+        /// Description of the overflowing variable.
+        detail: String,
+    },
     /// The run was cancelled through [`RunContext::cancel`].
     Cancelled,
     /// The shared deadline ([`RunContext::deadline`]) expired before the
@@ -529,6 +537,10 @@ impl fmt::Display for EngineError {
                 write!(f, "engine `{engine}` cannot answer this query: {detail}")
             }
             EngineError::Overload(d) => write!(f, "resource overloaded: {d}"),
+            EngineError::PreemptionDebtOverflow { resource, detail } => write!(
+                f,
+                "preemption debt of `{resource}` left its declared range: {detail}"
+            ),
             EngineError::Cancelled => write!(f, "analysis cancelled"),
             EngineError::TimedOut => write!(f, "analysis timed out (shared deadline expired)"),
             EngineError::Check(e) => write!(f, "model checking failed: {e}"),
@@ -549,6 +561,9 @@ impl From<ArchError> for EngineError {
             ArchError::UnknownRequirement { name } => EngineError::UnknownRequirement(name),
             e @ ArchError::UnknownEntity { .. } => EngineError::Model(e.to_string()),
             ArchError::QueueOverflow { detail } => EngineError::Overload(detail),
+            ArchError::PreemptionDebtOverflow { resource, detail } => {
+                EngineError::PreemptionDebtOverflow { resource, detail }
+            }
             ArchError::Check(CheckError::Cancelled) => EngineError::Cancelled,
             ArchError::Check(e) => EngineError::Check(e),
         }

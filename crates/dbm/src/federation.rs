@@ -1,22 +1,30 @@
 //! Federations: finite unions of DBM zones over the same clocks.
 //!
-//! Members form an antichain under single-zone inclusion: adding a zone that
-//! some member includes changes nothing, and adding any other zone evicts
-//! the members it strictly includes — one [`Dbm::relation`] per member
-//! decides both.  [`Federation::add_merging`] also folds the newcomer and
-//! the members it forms an exact convex union with into their hull
+//! Members form an antichain under a subsumption preorder: adding a zone
+//! that some member subsumes changes nothing, and adding any other zone
+//! evicts the members it subsumes.  [`Federation::add_merging`] takes the
+//! preorder's LU bounds: aLU subsumption ([`Dbm::alu_included_in`]) with
+//! finite bounds, plain inclusion with unbounded ones — one scan over the
+//! members decides both directions.  It also folds the newcomer and the
+//! members it forms an exact convex union with into their hull
 //! ([`Federation::absorb_convex`]), which is the passed-list discipline of
-//! the checker's default federation store.  Every operation preserves the
-//! denoted set of valuations exactly.
+//! the checker's default federation store.  Merging never changes the
+//! denoted set of valuations, and neither does anything else under plain
+//! inclusion.
+//!
+//! Every member carries the caller's `u32` tag, and `add_merging` reports
+//! the tags of the members it removed, so a caller can tell in O(1) whether
+//! a zone it stored earlier is still a member.
 
-use crate::{Clock, Constraint, Dbm, Relation};
-use std::fmt;
+use crate::Dbm;
 
 /// A finite union of zones (possibly empty) over the same set of clocks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Federation {
     num_clocks: usize,
     zones: Vec<Dbm>,
+    /// The caller's tag of each member, parallel to `zones`.
+    tags: Vec<u32>,
 }
 
 impl Federation {
@@ -25,20 +33,8 @@ impl Federation {
         Federation {
             num_clocks,
             zones: Vec::new(),
+            tags: Vec::new(),
         }
-    }
-
-    /// A federation containing a single zone.
-    pub fn from_zone(zone: Dbm) -> Federation {
-        let num_clocks = zone.num_clocks();
-        let mut f = Federation::empty(num_clocks);
-        f.add(zone);
-        f
-    }
-
-    /// The federation of all non-negative valuations.
-    pub fn universe(num_clocks: usize) -> Federation {
-        Federation::from_zone(Dbm::universe(num_clocks))
     }
 
     /// Number of real clocks.
@@ -66,39 +62,53 @@ impl Federation {
     ///
     /// Returns `true` if the federation grew (the zone was not subsumed).
     pub fn add(&mut self, mut zone: Dbm) -> bool {
-        self.add_merging(&mut zone, 0).is_some()
+        self.add_merging(&mut zone, 0, (&[], &[]), 0, &mut Vec::new())
+            .is_some()
     }
 
-    /// [`Federation::add`] with exact merging: after the inclusion scan, the
-    /// members `zone` forms an exact convex union with are absorbed into it
-    /// ([`Federation::absorb_convex`] with `failure_budget`; `0` disables
-    /// merging), so `zone` may grow in place before it is stored.
+    /// Adds `zone` under the member tag `tag`, with subsumption by the LU
+    /// bounds `lu = (lower, upper)` (see [`Dbm::alu_included_in`]; empty
+    /// slices give plain inclusion) and exact merging: after the subsumption
+    /// scan, the members `zone` forms an exact convex union with are absorbed
+    /// into it ([`Federation::absorb_convex`] with `failure_budget`; `0`
+    /// disables merging), so `zone` may grow in place before it is stored.
     ///
     /// Returns `None` (and changes nothing) if `zone` is empty or some member
-    /// includes it, and otherwise `Some((evicted, absorbed))`: the members
-    /// dropped because `zone` strictly includes them, and the members merged
-    /// into it.
-    pub fn add_merging(&mut self, zone: &mut Dbm, failure_budget: usize) -> Option<(usize, usize)> {
+    /// subsumes it, and otherwise `Some((evicted, absorbed))`: the numbers of
+    /// members dropped because `zone` subsumes them and of members merged
+    /// into it.  The tags of both are appended to `removed`.
+    pub fn add_merging(
+        &mut self,
+        zone: &mut Dbm,
+        tag: u32,
+        lu: (&[i64], &[i64]),
+        failure_budget: usize,
+        removed: &mut Vec<u32>,
+    ) -> Option<(usize, usize)> {
         if zone.is_empty() {
             return None;
         }
         assert_eq!(zone.num_clocks(), self.num_clocks, "dimension mismatch");
-        // One relation per member decides both directions: reject the
-        // newcomer if some member includes it, evict the members it
-        // strictly includes.
+        let (lower, upper) = lu;
+        // One pass over the members decides both directions: reject the
+        // newcomer if some member subsumes it, evict the members it
+        // subsumes.
         let mut evict = Vec::new();
         for (i, existing) in self.zones.iter().enumerate() {
-            match zone.relation(existing) {
-                Relation::Equal | Relation::Subset => return None,
-                Relation::Superset => evict.push(i),
-                Relation::Incomparable => {}
+            if zone.alu_included_in(existing, lower, upper) {
+                return None;
+            }
+            if existing.alu_included_in(zone, lower, upper) {
+                evict.push(i);
             }
         }
         for &i in evict.iter().rev() {
             self.zones.remove(i);
+            removed.push(self.tags.remove(i));
         }
-        let absorbed = self.absorb_convex(zone, failure_budget);
+        let absorbed = self.absorb_convex(zone, failure_budget, removed);
         self.zones.push(zone.clone());
+        self.tags.push(tag);
         Some((evict.len(), absorbed))
     }
 
@@ -113,9 +123,14 @@ impl Federation {
     /// removing the absorbed members and growing `zone` to the common hull.
     /// A member inside the grown `zone` merges trivially, so members only the
     /// grown zone includes are absorbed too, within the budget.  Returns the
-    /// number of members absorbed; `zone` itself is not stored (see
-    /// [`Federation::add_merging`]).
-    pub fn absorb_convex(&mut self, zone: &mut Dbm, failure_budget: usize) -> usize {
+    /// number of members absorbed and appends their tags to `removed`;
+    /// `zone` itself is not stored (see [`Federation::add_merging`]).
+    pub fn absorb_convex(
+        &mut self,
+        zone: &mut Dbm,
+        failure_budget: usize,
+        removed: &mut Vec<u32>,
+    ) -> usize {
         let mut absorbed = 0;
         let mut budget = failure_budget;
         let mut i = self.zones.len();
@@ -124,6 +139,7 @@ impl Federation {
             if let Some(hull) = zone.try_merge(&self.zones[i]) {
                 *zone = hull;
                 self.zones.swap_remove(i);
+                removed.push(self.tags.swap_remove(i));
                 absorbed += 1;
                 budget = failure_budget;
                 i = self.zones.len();
@@ -133,69 +149,12 @@ impl Federation {
         }
         absorbed
     }
-
-    /// Intersects every member zone with a constraint, dropping emptied zones.
-    pub fn constrain(&mut self, c: &Constraint) -> &mut Self {
-        for z in &mut self.zones {
-            z.and(c);
-        }
-        self.zones.retain(|z| !z.is_empty());
-        self
-    }
-
-    /// Applies the delay operator to every member zone.
-    pub fn up(&mut self) -> &mut Self {
-        for z in &mut self.zones {
-            z.up();
-        }
-        self
-    }
-
-    /// Resets a clock in every member zone.
-    pub fn reset(&mut self, x: Clock, value: i64) -> &mut Self {
-        for z in &mut self.zones {
-            z.reset(x, value);
-        }
-        self
-    }
-
-    /// Union with another federation.
-    pub fn union(&mut self, other: &Federation) -> &mut Self {
-        for z in &other.zones {
-            self.add(z.clone());
-        }
-        self
-    }
-
-    /// The tightest upper bound of a clock across all member zones
-    /// (`∞`-aware); `None` if the federation is empty.
-    pub fn sup(&self, x: Clock) -> Option<crate::Bound> {
-        self.zones
-            .iter()
-            .map(|z| z.sup(x))
-            .max_by(|a, b| a.cmp(b))
-    }
-}
-
-impl fmt::Display for Federation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.zones.is_empty() {
-            return write!(f, "false");
-        }
-        for (i, z) in self.zones.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ∨ ")?;
-            }
-            write!(f, "({z})")?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Bound;
+    use crate::{Bound, Clock, Relation};
 
     fn zone_between(lo: i64, hi: i64) -> Dbm {
         let mut z = Dbm::zero(1);
@@ -211,12 +170,12 @@ mod tests {
         assert!(f.is_empty());
         assert_eq!(f.size(), 0);
         assert!(!f.contains_point(&[0, 0]));
-        assert_eq!(f.sup(Clock(1)), None);
     }
 
     #[test]
     fn add_subsumed_zone_is_rejected() {
-        let mut f = Federation::from_zone(zone_between(0, 10));
+        let mut f = Federation::empty(1);
+        assert!(f.add(zone_between(0, 10)));
         assert!(!f.add(zone_between(2, 5)));
         assert_eq!(f.size(), 1);
         // But a zone subsuming the existing one replaces it.
@@ -234,7 +193,6 @@ mod tests {
         assert!(f.contains_point(&[0, 1]));
         assert!(!f.contains_point(&[0, 3]));
         assert!(f.contains_point(&[0, 6]));
-        assert_eq!(f.sup(Clock(1)), Some(Bound::weak(7)));
     }
 
     #[test]
@@ -245,41 +203,10 @@ mod tests {
         f.add(zone_between(5, 7));
         let mut zone = zone_between(2, 3);
         // [2,3] bridges [0,1]+[1,2] into [0,3]; [5,7] stays (gap).
-        let absorbed = f.absorb_convex(&mut zone, 8);
+        let absorbed = f.absorb_convex(&mut zone, 8, &mut Vec::new());
         assert_eq!(absorbed, 2);
         assert_eq!(f.size(), 1);
         assert_eq!(zone.relation(&zone_between(0, 3)), Relation::Equal);
-    }
-
-    #[test]
-    fn constrain_drops_emptied_members() {
-        let mut f = Federation::empty(1);
-        f.add(zone_between(0, 2));
-        f.add(zone_between(5, 7));
-        f.constrain(&Constraint::upper(Clock(1), Bound::weak(3)));
-        assert_eq!(f.size(), 1);
-        assert!(f.contains_point(&[0, 1]));
-        assert!(!f.contains_point(&[0, 6]));
-    }
-
-    #[test]
-    fn union_and_up() {
-        let mut f = Federation::from_zone(zone_between(0, 1));
-        let g = Federation::from_zone(zone_between(10, 11));
-        f.union(&g);
-        assert_eq!(f.size(), 2);
-        f.up();
-        assert!(f.contains_point(&[0, 100]));
-    }
-
-    #[test]
-    fn reset_applies_to_all_members() {
-        let mut f = Federation::empty(1);
-        f.add(zone_between(0, 2));
-        f.add(zone_between(5, 7));
-        f.reset(Clock(1), 0);
-        assert!(f.contains_point(&[0, 0]));
-        assert!(!f.contains_point(&[0, 6]));
     }
 
     #[test]

@@ -26,8 +26,11 @@
 //! * [`Dbm::reset`] / [`Dbm::free`] / [`Dbm::copy_clock`] / [`Dbm::shift`] —
 //!   clock updates,
 //! * [`Dbm::relation`] / [`Dbm::includes`] — zone inclusion,
-//! * [`Dbm::extrapolate_max_bounds`] / [`Dbm::extrapolate_lu`] — finiteness
-//!   abstractions,
+//! * [`Dbm::alu_included_in`] — aLU subsumption (inclusion up to
+//!   LU-simulation), the finiteness abstraction of the checker's default
+//!   store, decided on zones that are never extrapolated,
+//! * [`Dbm::extrapolate_max_bounds`] / [`Dbm::extrapolate_lu`] — the
+//!   extrapolation abstractions of the flat reference store,
 //! * [`Federation`] — finite unions of zones.
 //!
 //! All bounds are kept in `i64`, which is ample for the nanosecond-resolution

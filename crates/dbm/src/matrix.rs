@@ -16,9 +16,6 @@
 //!   splits inside subtraction, the per-entry path of [`Dbm::intersect`] and
 //!   the clamp at the end of [`Dbm::shift`] — closes with one O(n²)
 //!   propagation through the new edge ([`Dbm::close1`]);
-//! * loosening a single clock's row and/or column (the extrapolation
-//!   widenings) re-tightens just the loosened side(s) through single
-//!   intermediates, O(n²) per widened clock with no interior pivot;
 //! * operations that map canonical matrices to canonical matrices
 //!   ([`Dbm::up`], [`Dbm::down`], [`Dbm::free`], [`Dbm::reset`],
 //!   [`Dbm::copy_clock`], [`Dbm::convex_hull`]) need no re-closure at all.
@@ -26,15 +23,18 @@
 //! The full O(n³) Floyd–Warshall [`Dbm::close`] is still required after a
 //! sequence of [`Dbm::set_raw`] writes (no structure to exploit), after an
 //! intersection that tightens many entries at once (per-entry propagation
-//! would exceed n·n² work), when a constant table constrains the
-//! reference clock (the per-clock extrapolation split assumes it does not),
-//! and when the per-clock extrapolation sweep fails its post-hoc fixpoint
-//! check (re-closing a widened clock re-derived an entry of an earlier clock
-//! above its cap — the batch widen + close fallback restores the fixpoint
-//! the explorer's termination argument needs).  The
-//! incremental paths can be disabled globally with
+//! would exceed n·n² work) and after an extrapolation widened entries
+//! ([`Dbm::extrapolate_lu`] widens every over-cap entry in one batch and
+//! closes once).  The incremental paths can be disabled globally with
 //! [`set_incremental_close`][crate::set_incremental_close] — the differential
 //! harnesses use this to prove both modes produce identical verdicts.
+//!
+//! # Subsumption without extrapolation
+//!
+//! [`Dbm::alu_included_in`] decides `Z ⊑ a≼LU(Z′)` — every valuation of `Z`
+//! is LU-simulated by one of `Z′` — in O(n²) on zones that were never
+//! extrapolated.  It is coarser than inclusion in the ExtraLU-extrapolated
+//! `Z′`, and with unbounded constants it is plain inclusion.
 
 use crate::{Bound, Clock, Constraint};
 use std::fmt;
@@ -288,57 +288,6 @@ impl Dbm {
         }
     }
 
-    /// Restores the canonical form after a widening *loosened* entries in row
-    /// and/or column `t` (every entry not involving `t` is still canonical,
-    /// and no entry is below its pre-widening value).  The stale sides are
-    /// re-tightened through single intermediates — sufficient because the
-    /// rest of the matrix is closed.
-    ///
-    /// No interior pivot on `t` is needed, which a generic "row/column `t` is
-    /// stale" repair would require: repairs only *lower* entries back toward
-    /// (never below) their pre-widening canonical values, so for every
-    /// interior pair `m[i][j] ≤ m[i][t]_old + m[t][j]_old ≤ m[i][t] + m[t][j]`
-    /// already holds.  The canonicity re-close assertions in the incremental
-    /// differential test exercise exactly this argument.
-    fn close_clock_idx(&mut self, t: usize, row_stale: bool, col_stale: bool) {
-        let n = self.dim;
-        for a in 0..n {
-            if a == t {
-                continue;
-            }
-            if row_stale {
-                let dta = self.m[t * n + a];
-                if !dta.is_infinity() {
-                    for j in 0..n {
-                        let via = dta + self.m[a * n + j];
-                        if via < self.m[t * n + j] {
-                            self.m[t * n + j] = via;
-                        }
-                    }
-                }
-            }
-            if col_stale {
-                let dat = self.m[a * n + t];
-                if !dat.is_infinity() {
-                    for i in 0..n {
-                        let via = self.m[i * n + a] + dat;
-                        if via < self.m[i * n + t] {
-                            self.m[i * n + t] = via;
-                        }
-                    }
-                }
-            }
-        }
-        // Widening only loosens the zone, so the repair cannot create a
-        // negative cycle; guard anyway so a misuse flags emptiness instead of
-        // silently corrupting queries.
-        if self.m[t * n + t] < Bound::LE_ZERO {
-            self.empty = true;
-            return;
-        }
-        self.m[t * n + t] = Bound::LE_ZERO;
-    }
-
     /// Intersects the zone with the constraint `c.left − c.right ≺ c.bound`,
     /// restoring the canonical form incrementally.
     pub fn constrain(&mut self, left: Clock, right: Clock, bound: Bound) -> &mut Self {
@@ -368,17 +317,6 @@ impl Dbm {
     /// Intersects with a [`Constraint`].
     pub fn and(&mut self, c: &Constraint) -> &mut Self {
         self.constrain(c.left, c.right, c.bound)
-    }
-
-    /// Intersects with a conjunction of constraints.
-    pub fn and_all<'a, I: IntoIterator<Item = &'a Constraint>>(&mut self, cs: I) -> &mut Self {
-        for c in cs {
-            if self.empty {
-                break;
-            }
-            self.and(c);
-        }
-        self
     }
 
     /// `true` iff the zone has a non-empty intersection with the constraint.
@@ -600,21 +538,12 @@ impl Dbm {
             return self.clone();
         }
         let mut hull = self.clone();
-        hull.hull_in_place(other);
-        hull
-    }
-
-    /// Widens `self` to the convex hull of `self` and `other` in place —
-    /// [`Dbm::convex_hull`] without the clone, for hull folds over many
-    /// zones.  Both operands must be non-empty.
-    pub fn hull_in_place(&mut self, other: &Dbm) {
-        debug_assert_eq!(self.dim, other.dim, "dimension mismatch");
-        debug_assert!(!self.empty && !other.empty);
-        for (h, o) in self.m.iter_mut().zip(&other.m) {
+        for (h, o) in hull.m.iter_mut().zip(&other.m) {
             if *o > *h {
                 *h = *o;
             }
         }
+        hull
     }
 
     /// Sound one-sided disjointness test: `true` means the zones certainly
@@ -869,6 +798,59 @@ impl Dbm {
         matches!(self.relation(other), Relation::Equal | Relation::Superset)
     }
 
+    /// `true` iff `self ⊑ a≼LU(other)`: every valuation `v` of this zone is
+    /// LU-simulated by some valuation `v′` of `other` — for every clock `x`,
+    /// `v′(x) < v(x)` only above `lower[x]` and `v′(x) > v(x)` only when
+    /// `v(x)` is above `upper[x]` (Herbreteau, Srivathsan & Walukiewicz,
+    /// "Better abstractions for timed automata", LICS 2012; LU bounds as in
+    /// Behrmann, Bouyer, Larsen & Pelánek, STTT 2006).
+    ///
+    /// The test is the paper's O(n²) characterization on canonical zones:
+    /// `self ⋢ a≼LU(other)` iff some pair of clocks `x, y` (the reference
+    /// clock included) has `self[0][x] ≥ (−U_x, ≤)`,
+    /// `other[y][x] < self[y][x]` and `other[y][x] + (−L_y, <) < self[0][x]`.
+    ///
+    /// `lower[i]`/`upper[i]` are the constants of clock `i` (entry 0 is
+    /// ignored; the reference clock's are 0).  `i64::MIN` stands for `−∞` —
+    /// the clock is never compared, so it never decides — and `i64::MAX`, as
+    /// well as a missing entry, for `+∞`: with no finite constant the test is
+    /// plain inclusion, `other.includes(self)`.
+    pub fn alu_included_in(&self, other: &Dbm, lower: &[i64], upper: &[i64]) -> bool {
+        assert_eq!(self.dim, other.dim, "dimension mismatch");
+        if self.empty {
+            return true;
+        }
+        if other.empty {
+            return false;
+        }
+        let n = self.dim;
+        let bound = |b: &[i64], i: usize| {
+            if i == 0 {
+                0
+            } else {
+                b.get(i).copied().unwrap_or(i64::MAX)
+            }
+        };
+        for x in 0..n {
+            let ux = bound(upper, x);
+            let z0x = self.m[x];
+            if ux == i64::MIN || (ux != i64::MAX && z0x < Bound::weak(-ux)) {
+                continue;
+            }
+            for y in 0..n {
+                let ly = bound(lower, y);
+                let other_yx = other.m[y * n + x];
+                if y == x || ly == i64::MIN || other_yx >= self.m[y * n + x] {
+                    continue;
+                }
+                if ly == i64::MAX || other_yx + Bound::strict(-ly) < z0x {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
     /// `true` iff the concrete valuation (indexed by clock, entry 0 ignored)
     /// lies inside the zone.
     pub fn contains_point(&self, valuation: &[i64]) -> bool {
@@ -898,79 +880,8 @@ impl Dbm {
     /// for every automaton produced by the architecture front-end.
     pub fn extrapolate_max_bounds(&mut self, max_bounds: &[i64]) -> &mut Self {
         // ExtraM is exactly ExtraLU with both constant tables equal: the two
-        // widening rules coincide.  One implementation keeps the incremental
-        // and batch paths in one place.
+        // widening rules coincide.
         self.extrapolate_lu(max_bounds, max_bounds)
-    }
-
-    /// Applies the ExtraLU widening rules to row and column `t` only: row
-    /// entries above the lower-bound cap `(l_t, ≤)` become `∞`, column
-    /// entries below the floor `(−u_t, <)` are raised to it (row 0 is
-    /// additionally kept at or below `(0, ≤)` so clocks stay non-negative).
-    /// Returns which sides changed — `(row, column)` — so the caller can
-    /// re-close only the stale side(s) of clock `t`.
-    fn widen_clock(&mut self, t: usize, lt: i64, ut: i64) -> (bool, bool) {
-        let n = self.dim;
-        let row_cap = Bound::weak(lt);
-        let col_floor = Bound::strict(-ut);
-        let mut row_changed = false;
-        for j in 0..n {
-            if j == t {
-                continue;
-            }
-            let b = self.m[t * n + j];
-            if !b.is_infinity() && b > row_cap {
-                self.m[t * n + j] = Bound::INFINITY;
-                row_changed = true;
-            }
-        }
-        let mut col_changed = false;
-        for i in 0..n {
-            if i == t {
-                continue;
-            }
-            let floor = if i == 0 {
-                col_floor.min(Bound::LE_ZERO)
-            } else {
-                col_floor
-            };
-            let b = self.m[i * n + t];
-            if !b.is_infinity() && b < floor {
-                self.m[i * n + t] = floor;
-                col_changed = true;
-            }
-        }
-        (row_changed, col_changed)
-    }
-
-    /// `true` iff no entry violates the ExtraLU widening rules: every finite
-    /// entry of a non-reference row `i` is at most `(l_i, ≤)`, and every
-    /// entry of column `j` is at least `(−u_j, <)` (row 0 is also capped at
-    /// `(0, ≤)`, which the widening never disturbs).  A matrix satisfying
-    /// this is a fixpoint of widen∘close, which is what bounds the number of
-    /// distinct extrapolated zones and hence guarantees the explorer
-    /// terminates.
-    fn is_lu_fixpoint(&self, l: &impl Fn(usize) -> i64, u: &impl Fn(usize) -> i64) -> bool {
-        let n = self.dim;
-        for i in 0..n {
-            let row_cap = Bound::weak(l(i));
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let b = self.m[i * n + j];
-                if b.is_infinity() {
-                    continue;
-                }
-                if i != 0 && b > row_cap {
-                    return false;
-                }
-                if b < Bound::strict(-u(j)) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Lower/upper-bounds extrapolation (`ExtraLU`): like
@@ -978,47 +889,18 @@ impl Dbm {
     /// used in lower bounds (`lower[i]`, guards of the form `x ≥ c` / `x > c`)
     /// from those used in upper bounds (`upper[i]`, `x ≤ c` / `x < c` and
     /// invariants).  Coarser than `ExtraM`, still sound for diagonal-free
-    /// automata.
+    /// automata.  The result is a fixpoint of the widening, which bounds
+    /// every finite entry by the constant tables: only finitely many
+    /// extrapolated zones exist per table, so an exploration that
+    /// extrapolates every zone terminates.
     pub fn extrapolate_lu(&mut self, lower: &[i64], upper: &[i64]) -> &mut Self {
         if self.empty {
             return self;
         }
         let l = |i: usize| -> i64 { lower.get(i).copied().unwrap_or(0) };
         let u = |i: usize| -> i64 { upper.get(i).copied().unwrap_or(0) };
-        // Incremental path: widen one clock's row/column at a time and repair
-        // the canonical form with the O(n²) single-clock closure, keeping the
-        // matrix canonical between clocks.  Re-closing a widened clock can
-        // re-derive an entry of an *earlier* clock above its threshold, so
-        // one sweep alone is not always a fixpoint of widen∘close — and the
-        // explorer's termination argument needs the fixpoint property (it
-        // bounds every finite entry by the constant tables, giving finitely
-        // many extrapolated zones).  Iterating sweeps does not converge on
-        // such matrices (the same over-cap entries are re-derived each
-        // round), so after the sweep an O(n²) scan checks the fixpoint
-        // condition; on the rare violation we fall through to the batch
-        // widen + full close below, whose result is always a fixpoint.
-        // Verdicts and suprema are preserved either way.  The reference
-        // row/column rules must be trivial (zero constants for clock 0) for
-        // the per-clock split to cover every entry; every constant table the
-        // front-end produces satisfies that.
-        if incremental_close_enabled() && l(0) == 0 && u(0) == 0 {
-            for t in 1..self.dim {
-                let (row, col) = self.widen_clock(t, l(t), u(t));
-                if row || col {
-                    self.close_clock_idx(t, row, col);
-                    if self.empty {
-                        return self;
-                    }
-                }
-            }
-            if self.is_lu_fixpoint(&l, &u) {
-                return self;
-            }
-            // else: fall through to the batch path, which widens every
-            // remaining over-cap entry at once and restores canonical form
-            // with one full close.
-        }
-        // Batch path: widen every entry, then one full close.
+        // Widen every entry, then restore the canonical form with one full
+        // close.
         let mut changed = false;
         for i in 0..self.dim {
             for j in 0..self.dim {

@@ -6,92 +6,23 @@
 //! adding or losing a valuation — an unsound step would silently drop
 //! reachable states from the exploration or explore unreachable ones.
 
+mod common;
+
+use common::{random_zone, valuation, Space};
 use proptest::prelude::*;
-use tempo_dbm::{Bound, Clock, Dbm, Federation, Relation};
+use tempo_dbm::{Federation, Relation};
 
-const NUM_CLOCKS: usize = 2;
-
-/// One symbolic operation applied while generating a random zone (same
-/// op-sequence generator as `proptests.rs`, with smaller constants so that
-/// federations of a few zones overlap, include and merge with each other
-/// often).
-#[derive(Clone, Debug)]
-enum Op {
-    Up,
-    UpperBound { clock: u32, value: i64, strict: bool },
-    LowerBound { clock: u32, value: i64, strict: bool },
-    Diff { a: u32, b: u32, value: i64, strict: bool },
-    Reset { clock: u32, value: i64 },
-    Free { clock: u32 },
-}
-
-fn clock_idx() -> impl Strategy<Value = u32> {
-    1..=(NUM_CLOCKS as u32)
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        Just(Op::Up),
-        (clock_idx(), 0i64..12, any::<bool>())
-            .prop_map(|(clock, value, strict)| Op::UpperBound { clock, value, strict }),
-        (clock_idx(), 0i64..12, any::<bool>())
-            .prop_map(|(clock, value, strict)| Op::LowerBound { clock, value, strict }),
-        (clock_idx(), clock_idx(), -8i64..8, any::<bool>())
-            .prop_map(|(a, b, value, strict)| Op::Diff { a, b, value, strict }),
-        (clock_idx(), 0i64..8).prop_map(|(clock, value)| Op::Reset { clock, value }),
-        clock_idx().prop_map(|clock| Op::Free { clock }),
-    ]
-}
-
-fn apply(z: &mut Dbm, op: &Op) {
-    match *op {
-        Op::Up => {
-            z.up();
-        }
-        Op::UpperBound { clock, value, strict } => {
-            z.constrain(Clock(clock), Clock::REF, Bound::new(value, strict));
-        }
-        Op::LowerBound { clock, value, strict } => {
-            z.constrain(Clock::REF, Clock(clock), Bound::new(-value, strict));
-        }
-        Op::Diff { a, b, value, strict } => {
-            if a != b {
-                z.constrain(Clock(a), Clock(b), Bound::new(value, strict));
-            }
-        }
-        Op::Reset { clock, value } => {
-            z.reset(Clock(clock), value);
-        }
-        Op::Free { clock } => {
-            z.free(Clock(clock));
-        }
-    }
-}
-
-fn random_zone() -> impl Strategy<Value = Dbm> {
-    proptest::collection::vec(op_strategy(), 0..10).prop_map(|ops| {
-        let mut z = Dbm::zero(NUM_CLOCKS);
-        for op in &ops {
-            apply(&mut z, op);
-        }
-        z
-    })
-}
+/// Smaller constants than `proptests.rs`, so that federations of a few zones
+/// overlap, include and merge with each other often.
+const SPACE: Space = Space { clocks: 2, bound: 12, diff: 8, reset: 8, ops: 10 };
 
 fn random_federation() -> impl Strategy<Value = Federation> {
-    proptest::collection::vec(random_zone(), 0..5).prop_map(|zones| {
-        let mut f = Federation::empty(NUM_CLOCKS);
+    proptest::collection::vec(random_zone(SPACE), 0..5).prop_map(|zones| {
+        let mut f = Federation::empty(SPACE.clocks);
         for z in zones {
             f.add(z);
         }
         f
-    })
-}
-
-fn valuation() -> impl Strategy<Value = Vec<i64>> {
-    proptest::collection::vec(0i64..15, NUM_CLOCKS).prop_map(|mut v| {
-        v.insert(0, 0);
-        v
     })
 }
 
@@ -103,20 +34,24 @@ proptest! {
     /// with every count accounted for, preserving federation ∪ candidate at
     /// every sampled point and keeping the members an inclusion antichain.
     #[test]
-    fn add_merging_is_exact_member_inclusion(f in random_federation(), z in random_zone(),
-                                             budget in 0usize..4, v in valuation()) {
+    fn add_merging_is_exact_member_inclusion(f in random_federation(), z in random_zone(SPACE),
+                                             budget in 0usize..4, v in valuation(SPACE, 15)) {
         let before = f.contains_point(&v) || z.contains_point(&v);
         let included = z.is_empty() || f.iter().any(|m| m.includes(&z));
         let mut g = f.clone();
         let mut zone = z.clone();
-        match g.add_merging(&mut zone, budget) {
+        // Unbounded LU bounds: subsumption is plain inclusion.
+        let mut removed = Vec::new();
+        match g.add_merging(&mut zone, 7, (&[], &[]), budget, &mut removed) {
             None => {
                 prop_assert!(included);
                 prop_assert_eq!(&g, &f);
+                prop_assert!(removed.is_empty());
             }
             Some((evicted, absorbed)) => {
                 prop_assert!(!included);
                 prop_assert_eq!(g.size() + evicted + absorbed, f.size() + 1);
+                prop_assert_eq!(removed.len(), evicted + absorbed);
                 prop_assert!(g.iter().any(|m| m == &zone));
                 prop_assert!(zone.includes(&z));
                 if budget == 0 {
@@ -137,12 +72,12 @@ proptest! {
 
     /// `absorb_convex` preserves the denoted set of federation ∪ candidate.
     #[test]
-    fn absorb_convex_preserves_the_union(f in random_federation(), z in random_zone(),
-                                         v in valuation()) {
+    fn absorb_convex_preserves_the_union(f in random_federation(), z in random_zone(SPACE),
+                                         v in valuation(SPACE, 15)) {
         let before = f.contains_point(&v) || z.contains_point(&v);
         let mut g = f.clone();
         let mut zone = z.clone();
-        let absorbed = g.absorb_convex(&mut zone, 16);
+        let absorbed = g.absorb_convex(&mut zone, 16, &mut Vec::new());
         prop_assert_eq!(g.size() + absorbed, f.size());
         let after = g.contains_point(&v) || zone.contains_point(&v);
         prop_assert_eq!(after, before);

@@ -5,88 +5,20 @@
 //! concrete valuations, and checks the algebraic laws that forward
 //! reachability relies on.
 
+mod common;
+
+use common::{clock_idx, random_zone, valuation, Space};
 use proptest::prelude::*;
-use tempo_dbm::{Bound, Clock, Constraint, Dbm, Federation, Relation};
+use tempo_dbm::{Bound, Clock, Constraint, Federation, Relation};
 
-const NUM_CLOCKS: usize = 3;
-
-/// One symbolic operation applied while generating a random zone.
-#[derive(Clone, Debug)]
-enum Op {
-    Up,
-    UpperBound { clock: u32, value: i64, strict: bool },
-    LowerBound { clock: u32, value: i64, strict: bool },
-    Diff { a: u32, b: u32, value: i64, strict: bool },
-    Reset { clock: u32, value: i64 },
-    Free { clock: u32 },
-}
-
-fn clock_idx() -> impl Strategy<Value = u32> {
-    1..=(NUM_CLOCKS as u32)
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        Just(Op::Up),
-        (clock_idx(), 0i64..50, any::<bool>())
-            .prop_map(|(clock, value, strict)| Op::UpperBound { clock, value, strict }),
-        (clock_idx(), 0i64..50, any::<bool>())
-            .prop_map(|(clock, value, strict)| Op::LowerBound { clock, value, strict }),
-        (clock_idx(), clock_idx(), -30i64..30, any::<bool>())
-            .prop_map(|(a, b, value, strict)| Op::Diff { a, b, value, strict }),
-        (clock_idx(), 0i64..20).prop_map(|(clock, value)| Op::Reset { clock, value }),
-        clock_idx().prop_map(|clock| Op::Free { clock }),
-    ]
-}
-
-fn apply(z: &mut Dbm, op: &Op) {
-    match *op {
-        Op::Up => {
-            z.up();
-        }
-        Op::UpperBound { clock, value, strict } => {
-            z.constrain(Clock(clock), Clock::REF, Bound::new(value, strict));
-        }
-        Op::LowerBound { clock, value, strict } => {
-            z.constrain(Clock::REF, Clock(clock), Bound::new(-value, strict));
-        }
-        Op::Diff { a, b, value, strict } => {
-            if a != b {
-                z.constrain(Clock(a), Clock(b), Bound::new(value, strict));
-            }
-        }
-        Op::Reset { clock, value } => {
-            z.reset(Clock(clock), value);
-        }
-        Op::Free { clock } => {
-            z.free(Clock(clock));
-        }
-    }
-}
-
-fn random_zone() -> impl Strategy<Value = Dbm> {
-    proptest::collection::vec(op_strategy(), 0..12).prop_map(|ops| {
-        let mut z = Dbm::zero(NUM_CLOCKS);
-        for op in &ops {
-            apply(&mut z, op);
-        }
-        z
-    })
-}
-
-fn valuation() -> impl Strategy<Value = Vec<i64>> {
-    proptest::collection::vec(0i64..60, NUM_CLOCKS).prop_map(|mut v| {
-        v.insert(0, 0);
-        v
-    })
-}
+const SPACE: Space = Space { clocks: 3, bound: 50, diff: 30, reset: 20, ops: 12 };
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Re-closing a canonical zone changes nothing.
     #[test]
-    fn close_is_idempotent(z in random_zone()) {
+    fn close_is_idempotent(z in random_zone(SPACE)) {
         let mut closed = z.clone();
         closed.close();
         prop_assert_eq!(closed.relation(&z), Relation::Equal);
@@ -95,8 +27,8 @@ proptest! {
     /// The membership predicate agrees with the constraint semantics:
     /// a point is in `z ∧ c` iff it is in `z` and satisfies `c`.
     #[test]
-    fn constrain_is_intersection(z in random_zone(), v in valuation(),
-                                 clock in clock_idx(), m in 0i64..60, strict in any::<bool>()) {
+    fn constrain_is_intersection(z in random_zone(SPACE), v in valuation(SPACE, 60),
+                                 clock in clock_idx(SPACE), m in 0i64..60, strict in any::<bool>()) {
         let c = Constraint::upper(Clock(clock), Bound::new(m, strict));
         let mut zc = z.clone();
         zc.and(&c);
@@ -106,7 +38,7 @@ proptest! {
 
     /// `up` only adds valuations reachable by uniform delay and never loses points.
     #[test]
-    fn up_is_extensive(z in random_zone(), v in valuation(), d in 0i64..40) {
+    fn up_is_extensive(z in random_zone(SPACE), v in valuation(SPACE, 60), d in 0i64..40) {
         let mut up = z.clone();
         up.up();
         if z.contains_point(&v) {
@@ -120,7 +52,7 @@ proptest! {
     /// After `reset(x, k)` every member valuation has `x == k`, and the other
     /// clocks keep values they could have had before.
     #[test]
-    fn reset_post_condition(z in random_zone(), clock in clock_idx(), k in 0i64..20, v in valuation()) {
+    fn reset_post_condition(z in random_zone(SPACE), clock in clock_idx(SPACE), k in 0i64..20, v in valuation(SPACE, 60)) {
         let mut r = z.clone();
         r.reset(Clock(clock), k);
         prop_assert_eq!(r.is_empty(), z.is_empty());
@@ -136,7 +68,7 @@ proptest! {
 
     /// Zone inclusion is consistent with point membership.
     #[test]
-    fn inclusion_sound_for_points(a in random_zone(), b in random_zone(), v in valuation()) {
+    fn inclusion_sound_for_points(a in random_zone(SPACE), b in random_zone(SPACE), v in valuation(SPACE, 60)) {
         if a.includes(&b) && b.contains_point(&v) {
             prop_assert!(a.contains_point(&v));
         }
@@ -144,7 +76,7 @@ proptest! {
 
     /// `relation` is antisymmetric and consistent with `includes`.
     #[test]
-    fn relation_consistency(a in random_zone(), b in random_zone()) {
+    fn relation_consistency(a in random_zone(SPACE), b in random_zone(SPACE)) {
         match a.relation(&b) {
             Relation::Equal => {
                 prop_assert!(a.includes(&b) && b.includes(&a));
@@ -166,8 +98,8 @@ proptest! {
 
     /// Extrapolation is a sound abstraction: it only grows the zone.
     #[test]
-    fn extrapolation_is_extensive(z in random_zone(),
-                                  k in proptest::collection::vec(0i64..30, NUM_CLOCKS + 1)) {
+    fn extrapolation_is_extensive(z in random_zone(SPACE),
+                                  k in proptest::collection::vec(0i64..30, SPACE.clocks + 1)) {
         let mut e = z.clone();
         e.extrapolate_max_bounds(&k);
         prop_assert!(e.includes(&z));
@@ -179,8 +111,8 @@ proptest! {
 
     /// LU extrapolation is at least as coarse as ExtraM with the same constants.
     #[test]
-    fn lu_is_coarser_than_m(z in random_zone(),
-                            k in proptest::collection::vec(0i64..30, NUM_CLOCKS + 1)) {
+    fn lu_is_coarser_than_m(z in random_zone(SPACE),
+                            k in proptest::collection::vec(0i64..30, SPACE.clocks + 1)) {
         let mut m = z.clone();
         m.extrapolate_max_bounds(&k);
         let mut lu = z.clone();
@@ -192,7 +124,7 @@ proptest! {
 
     /// Intersection is the greatest lower bound w.r.t. point membership.
     #[test]
-    fn intersection_semantics(a in random_zone(), b in random_zone(), v in valuation()) {
+    fn intersection_semantics(a in random_zone(SPACE), b in random_zone(SPACE), v in valuation(SPACE, 60)) {
         let mut i = a.clone();
         i.intersect(&b);
         prop_assert_eq!(i.contains_point(&v), a.contains_point(&v) && b.contains_point(&v));
@@ -201,9 +133,9 @@ proptest! {
     /// Federations never lose points when zones are added, and subsumption
     /// does not change the represented set.
     #[test]
-    fn federation_add_preserves_points(zones in proptest::collection::vec(random_zone(), 1..5),
-                                       v in valuation()) {
-        let mut f = Federation::empty(NUM_CLOCKS);
+    fn federation_add_preserves_points(zones in proptest::collection::vec(random_zone(SPACE), 1..5),
+                                       v in valuation(SPACE, 60)) {
+        let mut f = Federation::empty(SPACE.clocks);
         let mut expected = false;
         for z in &zones {
             expected |= z.contains_point(&v);
@@ -215,7 +147,7 @@ proptest! {
     /// `free` makes the freed clock unconstrained while keeping the projection
     /// of the other clocks.
     #[test]
-    fn free_post_condition(z in random_zone(), clock in clock_idx(), v in valuation(), nv in 0i64..60) {
+    fn free_post_condition(z in random_zone(SPACE), clock in clock_idx(SPACE), v in valuation(SPACE, 60), nv in 0i64..60) {
         let mut fz = z.clone();
         fz.free(Clock(clock));
         if z.contains_point(&v) {
@@ -229,9 +161,9 @@ proptest! {
     /// with the incremental `close1` yields bound-for-bound the same matrix
     /// as a full Floyd–Warshall `close` — including agreeing on emptiness.
     #[test]
-    fn close1_matches_full_close(z in random_zone(),
-                                 x in 0u32..=(NUM_CLOCKS as u32),
-                                 y in 0u32..=(NUM_CLOCKS as u32),
+    fn close1_matches_full_close(z in random_zone(SPACE),
+                                 x in 0u32..=(SPACE.clocks as u32),
+                                 y in 0u32..=(SPACE.clocks as u32),
                                  delta in 1i64..25, m in -40i64..40, strict in any::<bool>()) {
         if x == y || z.is_empty() {
             return;
@@ -253,8 +185,8 @@ proptest! {
         full.close();
         prop_assert_eq!(incremental.is_empty(), full.is_empty());
         if !incremental.is_empty() {
-            for i in 0..=NUM_CLOCKS as u32 {
-                for j in 0..=NUM_CLOCKS as u32 {
+            for i in 0..=SPACE.clocks as u32 {
+                for j in 0..=SPACE.clocks as u32 {
                     prop_assert_eq!(
                         incremental.get(Clock(i), Clock(j)),
                         full.get(Clock(i), Clock(j)),

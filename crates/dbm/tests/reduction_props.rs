@@ -4,75 +4,14 @@
 //! idempotent, and be monotone with respect to zone inclusion — the three
 //! laws the passed-list subsumption of the explorer relies on.
 
+mod common;
+
+use common::{apply, clock_idx, op_strategy, random_zone, Space};
 use proptest::prelude::*;
 use tempo_dbm::{Bound, Clock, Dbm, Relation};
 
-const NUM_CLOCKS: usize = 3;
-
-/// One symbolic operation applied while generating a random zone (same
-/// op-sequence generator as `proptests.rs`).
-#[derive(Clone, Debug)]
-enum Op {
-    Up,
-    UpperBound { clock: u32, value: i64, strict: bool },
-    LowerBound { clock: u32, value: i64, strict: bool },
-    Diff { a: u32, b: u32, value: i64, strict: bool },
-    Reset { clock: u32, value: i64 },
-    Free { clock: u32 },
-}
-
-fn clock_idx() -> impl Strategy<Value = u32> {
-    1..=(NUM_CLOCKS as u32)
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        Just(Op::Up),
-        (clock_idx(), 0i64..50, any::<bool>())
-            .prop_map(|(clock, value, strict)| Op::UpperBound { clock, value, strict }),
-        (clock_idx(), 0i64..50, any::<bool>())
-            .prop_map(|(clock, value, strict)| Op::LowerBound { clock, value, strict }),
-        (clock_idx(), clock_idx(), -30i64..30, any::<bool>())
-            .prop_map(|(a, b, value, strict)| Op::Diff { a, b, value, strict }),
-        (clock_idx(), 0i64..20).prop_map(|(clock, value)| Op::Reset { clock, value }),
-        clock_idx().prop_map(|clock| Op::Free { clock }),
-    ]
-}
-
-fn apply(z: &mut Dbm, op: &Op) {
-    match *op {
-        Op::Up => {
-            z.up();
-        }
-        Op::UpperBound { clock, value, strict } => {
-            z.constrain(Clock(clock), Clock::REF, Bound::new(value, strict));
-        }
-        Op::LowerBound { clock, value, strict } => {
-            z.constrain(Clock::REF, Clock(clock), Bound::new(-value, strict));
-        }
-        Op::Diff { a, b, value, strict } => {
-            if a != b {
-                z.constrain(Clock(a), Clock(b), Bound::new(value, strict));
-            }
-        }
-        Op::Reset { clock, value } => {
-            z.reset(Clock(clock), value);
-        }
-        Op::Free { clock } => {
-            z.free(Clock(clock));
-        }
-    }
-}
-
-fn random_zone() -> impl Strategy<Value = Dbm> {
-    proptest::collection::vec(op_strategy(), 0..12).prop_map(|ops| {
-        let mut z = Dbm::zero(NUM_CLOCKS);
-        for op in &ops {
-            apply(&mut z, op);
-        }
-        z
-    })
-}
+/// The same zones as `proptests.rs`.
+const SPACE: Space = Space { clocks: 3, bound: 50, diff: 30, reset: 20, ops: 12 };
 
 /// `a` with its facet `xi − xj ≺ c` moved outward by `push`, then cut back
 /// to `xi − xj ≻ c + shift` (`≻` strict or not): when the two overlap or
@@ -110,8 +49,8 @@ fn facet_moved(
 /// zones, every facet of it bounds something.
 fn random_box() -> impl Strategy<Value = Dbm> {
     let side = (0i64..20, 1i64..20, any::<bool>());
-    (proptest::collection::vec(side, NUM_CLOCKS), op_strategy()).prop_map(|(sides, op)| {
-        let mut z = Dbm::universe(NUM_CLOCKS);
+    (proptest::collection::vec(side, SPACE.clocks), op_strategy(SPACE)).prop_map(|(sides, op)| {
+        let mut z = Dbm::universe(SPACE.clocks);
         for (k, &(lo, width, strict)) in sides.iter().enumerate() {
             let x = Clock(k as u32 + 1);
             z.constrain(Clock::REF, x, Bound::new(-lo, strict));
@@ -125,18 +64,18 @@ fn random_box() -> impl Strategy<Value = Dbm> {
 /// Operand pairs for `try_merge`: independent random zones, which almost
 /// never merge, and [`facet_moved`] boxes, which mostly do.
 fn merge_pair() -> impl Strategy<Value = (Dbm, Dbm, bool)> {
-    let index = 0..=(NUM_CLOCKS as u32);
+    let index = 0..=(SPACE.clocks as u32);
     prop_oneof![
-        1 => (random_zone(), random_zone()).prop_map(|(a, b)| (a, b, false)),
+        1 => (random_zone(SPACE), random_zone(SPACE)).prop_map(|(a, b)| (a, b, false)),
         3 => (random_box(), (index.clone(), index), (1i64..6, -2i64..2, any::<bool>())).prop_map(
             |(a, facet, (push, shift, strict))| facet_moved(a, facet, push, shift, strict),
         ),
     ]
 }
 
-/// An activity mask over the reference clock + NUM_CLOCKS real clocks.
+/// An activity mask over the reference clock + SPACE.clocks real clocks.
 fn active_mask() -> impl Strategy<Value = Vec<bool>> {
-    proptest::collection::vec(any::<bool>(), NUM_CLOCKS + 1)
+    proptest::collection::vec(any::<bool>(), SPACE.clocks + 1)
 }
 
 fn is_canonical(z: &Dbm) -> bool {
@@ -151,8 +90,8 @@ proptest! {
     /// All three projection ops keep the matrix canonical (re-closing is a
     /// no-op afterwards).
     #[test]
-    fn projection_ops_preserve_canonical_form(z in random_zone(),
-                                              clock in clock_idx(),
+    fn projection_ops_preserve_canonical_form(z in random_zone(SPACE),
+                                              clock in clock_idx(SPACE),
                                               mask in active_mask()) {
         let mut r = z.clone();
         r.reset_to_canonical(Clock(clock));
@@ -167,8 +106,8 @@ proptest! {
 
     /// The ops are idempotent: applying them twice equals applying them once.
     #[test]
-    fn projection_ops_are_idempotent(z in random_zone(),
-                                     clock in clock_idx(),
+    fn projection_ops_are_idempotent(z in random_zone(SPACE),
+                                     clock in clock_idx(SPACE),
                                      mask in active_mask()) {
         let mut once = z.clone();
         once.reset_to_canonical(Clock(clock));
@@ -193,8 +132,8 @@ proptest! {
     /// This is what makes the reduction compatible with the passed list's
     /// inclusion subsumption.
     #[test]
-    fn projection_ops_are_monotone(a in random_zone(), b in random_zone(),
-                                   clock in clock_idx(), mask in active_mask()) {
+    fn projection_ops_are_monotone(a in random_zone(SPACE), b in random_zone(SPACE),
+                                   clock in clock_idx(SPACE), mask in active_mask()) {
         if b.includes(&a) {
             let (mut ra, mut rb) = (a.clone(), b.clone());
             ra.reset_to_canonical(Clock(clock));
@@ -216,12 +155,12 @@ proptest! {
     /// `restrict_to_active` is exactly the sequential canonicalization of
     /// every dead clock, and it reports their number.
     #[test]
-    fn restrict_matches_per_clock_resets(z in random_zone(), mask in active_mask()) {
+    fn restrict_matches_per_clock_resets(z in random_zone(SPACE), mask in active_mask()) {
         let mut restricted = z.clone();
         let eliminated = restricted.restrict_to_active(&mask);
         let mut manual = z.clone();
         let mut expected = 0;
-        for (i, active) in mask.iter().enumerate().take(NUM_CLOCKS + 1).skip(1) {
+        for (i, active) in mask.iter().enumerate().take(SPACE.clocks + 1).skip(1) {
             if !active {
                 manual.reset_to_canonical(Clock(i as u32));
                 expected += 1;
@@ -239,7 +178,7 @@ proptest! {
     /// `free_clock(x); x ≤ 0` — the two formulations of "the dead value does
     /// not matter".
     #[test]
-    fn reset_to_canonical_is_free_then_pin(z in random_zone(), clock in clock_idx()) {
+    fn reset_to_canonical_is_free_then_pin(z in random_zone(SPACE), clock in clock_idx(SPACE)) {
         let mut direct = z.clone();
         direct.reset_to_canonical(Clock(clock));
         let mut via_free = z.clone();
@@ -252,8 +191,8 @@ proptest! {
     /// probed here): a point lies in some piece iff it lies in the minuend
     /// but not the subtrahend.
     #[test]
-    fn subtract_is_set_difference(a in random_zone(), b in random_zone(),
-                                  v in proptest::collection::vec(0i64..60, NUM_CLOCKS)) {
+    fn subtract_is_set_difference(a in random_zone(SPACE), b in random_zone(SPACE),
+                                  v in proptest::collection::vec(0i64..60, SPACE.clocks)) {
         let pieces = a.subtract(&b);
         let mut point = v.clone();
         point.insert(0, 0);
@@ -274,7 +213,7 @@ proptest! {
     /// merging relies on), and pairs built to merge always do.
     #[test]
     fn try_merge_is_exact_union(pair in merge_pair(),
-                                v in proptest::collection::vec(0i64..60, NUM_CLOCKS)) {
+                                v in proptest::collection::vec(0i64..60, SPACE.clocks)) {
         let (a, b, must_merge) = pair;
         let mut point = v.clone();
         point.insert(0, 0);
@@ -305,8 +244,8 @@ proptest! {
     /// valuation has the dead clock at 0, and any member of the original
     /// zone stays a member after zeroing that coordinate.
     #[test]
-    fn reset_to_canonical_projects(z in random_zone(), clock in clock_idx(),
-                                   v in proptest::collection::vec(0i64..60, NUM_CLOCKS)) {
+    fn reset_to_canonical_projects(z in random_zone(SPACE), clock in clock_idx(SPACE),
+                                   v in proptest::collection::vec(0i64..60, SPACE.clocks)) {
         let mut r = z.clone();
         r.reset_to_canonical(Clock(clock));
         prop_assert_eq!(r.is_empty(), z.is_empty());

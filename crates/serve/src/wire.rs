@@ -26,8 +26,8 @@ use tempo_check::SearchProgress;
 /// A typed protocol error: a stable `kind` tag plus human-readable detail.
 ///
 /// Kinds mapped from [`EngineError`]: `model`, `unknown_requirement`,
-/// `unsupported`, `overload`, `cancelled`, `timed_out`, `check`, `panicked`,
-/// `internal`.  Protocol-level kinds: `parse`, `bad_request`,
+/// `unsupported`, `overload`, `preemption_debt_overflow`, `cancelled`,
+/// `timed_out`, `check`, `panicked`, `internal`.  Protocol-level kinds: `parse`, `bad_request`,
 /// `unknown_model`, `overloaded` (admission queue full), `shutting_down`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireError {
@@ -60,6 +60,9 @@ impl WireError {
                 ("unsupported", format!("{engine}: {detail}"))
             }
             EngineError::Overload(d) => ("overload", d.clone()),
+            EngineError::PreemptionDebtOverflow { resource, detail } => {
+                ("preemption_debt_overflow", format!("{resource}: {detail}"))
+            }
             EngineError::Cancelled => ("cancelled", "run cancelled".to_string()),
             EngineError::TimedOut => ("timed_out", "shared deadline expired".to_string()),
             EngineError::Check(c) => ("check", c.to_string()),
@@ -742,6 +745,13 @@ mod tests {
                 "unknown_requirement",
             ),
             (EngineError::Overload("CPU".into()), "overload"),
+            (
+                EngineError::PreemptionDebtOverflow {
+                    resource: "MMI".into(),
+                    detail: "variable D_MMI reached 9, max 8".into(),
+                },
+                "preemption_debt_overflow",
+            ),
             (EngineError::Cancelled, "cancelled"),
             (EngineError::TimedOut, "timed_out"),
             (

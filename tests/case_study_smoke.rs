@@ -12,6 +12,7 @@
 
 use tempo::arch::casestudy::{radio_navigation, CaseStudyParams, EventModelColumn, ScenarioCombo};
 use tempo::arch::prelude::*;
+use tempo::arch::ArchError;
 use tempo::check::{SearchOptions, SearchOrder, StorageKind};
 
 fn quick_params() -> CaseStudyParams {
@@ -86,8 +87,8 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
     // regressions; the pj column must stay below the former 400k truncation
     // cap with comfortable margin.  The ceilings date from the flat store
     // (then measured at po 169, pno 1 100, sp 677, pj 61 270, bur 718 160
-    // stored states); the default federation store stores po 169, pno 502,
-    // sp 474, pj 5 075 and bur 39 805.
+    // stored states); the default federation store with aLU subsumption
+    // stores po 169, pno 502, sp 413, pj 3 635 and bur 30 289.
     let ceilings = [5_000usize, 20_000, 20_000, 120_000, 900_000];
     for ((column, report), ceiling) in values.iter().zip(ceilings) {
         assert!(
@@ -103,9 +104,9 @@ fn address_lookup_row_is_insensitive_to_radio_station_burstiness() {
 /// truncated at the 400k cap with a mere lower bound — completes under the
 /// old 400k truncation line with the federation store.  Exact merging plus
 /// the store's stale-state skipping (queued zones absorbed into a stored hull
-/// are never expanded) land it around 40k stored states,
-/// an order of magnitude below the ~486k intrinsic zone graph; the tighter
-/// 60k ceiling is the regression guard.  The WCRT must equal the flat-store
+/// are never expanded) landed it around 40k stored states, and aLU
+/// subsumption around 30k, an order of magnitude below the ~486k intrinsic
+/// zone graph; the tighter 60k ceiling is the regression guard.  The WCRT must equal the flat-store
 /// value of the column (cross-checked against the `pj` column, which shares
 /// it on the quick workload).
 #[test]
@@ -133,7 +134,7 @@ fn bur_column_completes_under_400k_with_the_federation_store() {
     );
     assert!(
         report.stats.stored_cumulative < 60_000,
-        "bur stored {} states — regression over the measured ~38k",
+        "bur stored {} states — regression over the measured ~30k",
         report.stats.stored_cumulative
     );
     assert!(report.stats.zones_evicted > 0);
@@ -154,7 +155,10 @@ fn bur_column_completes_under_400k_with_the_federation_store() {
 /// The two slowest cells of quick Table 1 — bur HandleTMC with ChangeVolume
 /// and with AddressLookup, whose burst TMC stream queues behind the user
 /// chains — complete exactly under the default store, at the values
-/// `table1 --quick` prints.
+/// `table1 --quick` prints.  The explored-state ceilings guard the aLU
+/// subsumption of the default store: it explores 39,276 and 38,952 states
+/// there, where inclusion of ExtraLU-extrapolated zones explored 70,792 and
+/// 73,804.
 #[test]
 fn bur_handle_tmc_cells_are_exact_under_the_default_store() {
     for (requirement, combo, expected_ms) in [
@@ -166,7 +170,37 @@ fn bur_handle_tmc_cells_are_exact_under_the_default_store() {
         assert!(!report.stats.truncated, "{requirement}: truncated");
         let ms = report.wcrt_ms().expect("exact WCRT");
         assert_eq!(format!("{ms:.3}"), expected_ms, "{requirement}");
+        assert!(
+            report.stats.states_explored < 50_000,
+            "{requirement}: {} states explored exceeds the ceiling 50,000",
+            report.stats.states_explored
+        );
     }
+}
+
+/// At the paper's parameters the sporadic ChangeVolume cells fail, and the
+/// failure is typed: the preemption-debt counter of the preemptive `MMI`
+/// processor leaves its declared range, which is not an event-queue
+/// overflow and must not be reported as one.
+#[test]
+fn paper_parameter_sp_overflow_names_the_preemption_debt_of_mmi() {
+    let model = radio_navigation(
+        ScenarioCombo::ChangeVolumeWithTmc,
+        EventModelColumn::Sporadic,
+        &CaseStudyParams::default(),
+    );
+    let err = Session::new(&model, quick_cfg())
+        .unwrap()
+        .wcrt("K2A (ChangeVolume + HandleTMC)")
+        .unwrap_err();
+    match &err {
+        ArchError::PreemptionDebtOverflow { resource, detail } => {
+            assert_eq!(resource, "MMI");
+            assert!(detail.contains("D_MMI"), "{detail}");
+        }
+        other => panic!("expected a preemption-debt overflow, got {other}"),
+    }
+    assert!(!err.to_string().contains("queue capacity"), "{err}");
 }
 
 #[test]

@@ -11,6 +11,14 @@
 //! or equally many stored states, a non-zero elimination count) — a reduction
 //! that never fires would pass any differential check vacuously.
 //!
+//! The answers are compared under the default store and so are the
+//! elimination counts, but the stored-state comparisons run under
+//! [`StorageKind::Flat`]: there pinning dead clocks is the only dead-clock
+//! abstraction.  The default store subsumes by aLU simulation, under which a
+//! dead clock never decides a subsumption anyway, so pinning no longer
+//! shrinks it (it keeps exact merging effective instead) and its counts on
+//! and off are incomparable, e.g. 2,784 vs 2,522 on the burst fixture.
+//!
 //! Since PR 4 the same obligation covers the state-*storage* subsystem
 //! (`SearchOptions::storage`): the plain flat antichain store (the reference
 //! oracle), the default federation store with eviction and exact convex
@@ -26,8 +34,13 @@ use tempo::arch::prelude::*;
 use tempo::check::{Explorer, SearchOptions, TargetSpec};
 
 fn cfg(reduction: bool) -> AnalysisConfig {
+    reduction_cfg(StorageKind::default(), reduction)
+}
+
+fn reduction_cfg(storage: StorageKind, reduction: bool) -> AnalysisConfig {
     AnalysisConfig {
         search: SearchOptions {
+            storage,
             active_clock_reduction: reduction,
             ..SearchOptions::default()
         },
@@ -105,7 +118,8 @@ fn assert_storage_backends_match(
 }
 
 /// Asserts that the two analyses of `requirement` agree on everything a user
-/// can observe, and returns the (reduced, unreduced) stored-state counts.
+/// can observe, and returns the (reduced, unreduced) stored-state counts of
+/// the flat store.
 fn assert_requirement_matches(model: &ArchitectureModel, requirement: &str) -> (usize, usize) {
     let on = Session::new(model, cfg(true))
         .and_then(|s| s.wcrt(requirement))
@@ -129,6 +143,12 @@ fn assert_requirement_matches(model: &ArchitectureModel, requirement: &str) -> (
         model.name
     );
     assert_eq!(off.stats.clocks_eliminated, 0);
+    let stored = |reduction: bool| {
+        Session::new(model, reduction_cfg(StorageKind::Flat, reduction))
+            .and_then(|s| s.wcrt(requirement))
+            .unwrap_or_else(|e| panic!("{}/{requirement} with flat storage: {e}", model.name))
+    };
+    let (on, off) = (stored(true), stored(false));
     assert!(
         on.stats.stored_cumulative <= off.stats.stored_cumulative,
         "{}/{requirement}: reduction stored more states ({} vs {})",
@@ -192,7 +212,16 @@ fn fischer_verdicts_and_state_space_match() {
         if reduction {
             assert!(stats.clocks_eliminated > 0, "reduction did not fire on Fischer");
         }
-        sizes.push(stats.stored_cumulative);
+        let flat = Explorer::new(
+            &sys,
+            SearchOptions {
+                storage: StorageKind::Flat,
+                active_clock_reduction: reduction,
+                ..SearchOptions::default()
+            },
+        )
+        .unwrap();
+        sizes.push(flat.explore(|_| {}).unwrap().stored_cumulative);
     }
     assert_eq!(verdicts[0], verdicts[1]);
     assert_eq!(verdicts[0], (false, true));
